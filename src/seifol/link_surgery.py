@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import FiberSlopeFilling, NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
-from .seifert import SeifertInvariants, normalize, reverse_orientation
+from .seifert import SeifertInvariants, normalize, reverse_orientation, torus_fiber_betas
 
 MERIDIAN_LONGITUDE = "meridian-longitude"
 MERIDIAN_FIBER = "meridian-fiber"
@@ -95,9 +95,7 @@ def base_fibers(ext: TorusLinkExterior) -> tuple[tuple[int, int], ...]:
     beta_1 s + beta_2 r = -1, 0 < beta_2 < s and beta_1' = beta_1 + r."""
     r, s = ext.r, ext.s
     if r >= 2 and s >= 2:
-        beta2 = (-pow(r, -1, s)) % s
-        beta1, rem = divmod(-1 - beta2 * r, s)
-        assert rem == 0
+        beta1, beta2 = torus_fiber_betas(r, s)
         return ((r, beta1 + r), (s, beta2))
     if r == 1 and s == 1:
         return ()
@@ -148,5 +146,5 @@ def reference_witness(r: int, s: int) -> tuple[int, int]:
     negative-surgery fillings when r, s >= 2."""
     if r < 2 or s < 2:
         raise ValueError("reference witness needs r, s >= 2")
-    beta2 = (-pow(r, -1, s)) % s
+    _, beta2 = torus_fiber_betas(r, s)
     return r * s + 1, beta2 * r + 1

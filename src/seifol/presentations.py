@@ -4,9 +4,13 @@ The obstruction is sign-level only: in a left-ordered group a product of
 elements that are all positive (or all negative) cannot be the identity.
 A {+,-} labeling of the generators under which some relator becomes such a
 product is impossible, so if every labeling is impossible the group admits
-no left order in which all generators are nontrivial.  Refined inequality
-arguments that kill individual surviving labelings are out of scope here;
-survivors are reported as data.
+no left order in which all generators are nontrivial.  The labelings are
+searched depth first with pruning: a partial labeling is abandoned as soon
+as one of its fully labeled relators is a same-sign product, and only
+labelings with the first generator positive are searched, since negating a
+labeling preserves every verdict.  Refined inequality arguments that kill
+individual surviving labelings are out of scope here; survivors are
+reported as data.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 from .errors import IndivisibleSurgery, NotationError, TooManyGenerators
 from .snf import cokernel_order
@@ -77,37 +80,64 @@ class ObstructionReport:
 
 
 def coarse_obstruction(pres: GroupPresentation, cap: int = GENERATOR_CAP) -> ObstructionReport:
-    """Enumerate all {+,-} assignments and reject those under which some
+    """Decide every {+,-} assignment, rejecting those under which some
     relator is a same-sign product.
 
     A letter (g, e) contributes sign(e) * sigma(g); a relator is violated
-    when every contribution agrees.  Generators appearing with both
-    exponent signs can never force a violation on their own.  Survivors are
-    returned sorted; an empty survivor list is the obstruction certificate.
+    when every contribution agrees.  With bit i of sigma set when generator
+    i is "+", a relator whose generators occur only with positive exponents
+    in ``pos`` and only with negative ones in ``neg`` is violated exactly
+    when ``sigma & (pos | neg)`` is ``pos`` or ``neg``.  A generator
+    appearing with both exponent signs keeps its relator from ever being
+    violated, so such relators are dropped.
+
+    Each relator is checked at the depth of its last generator, and a
+    branch dies there if it is violated.  Only sigma(g_0) = "+" is searched;
+    the "-" half is the negation of those survivors.  ``assignments_checked``
+    counts all 2^n assignments decided, pruned ones included.  Survivors
+    are returned sorted ("+" before "-"); an empty survivor list is the
+    obstruction certificate.
     """
     gens = pres.generators
-    if len(gens) > cap:
-        raise TooManyGenerators(f"{len(gens)} generators exceeds cap {cap}")
+    n = len(gens)
+    if n > cap:
+        raise TooManyGenerators(f"{n} generators exceeds cap {cap}")
+    if not n:
+        return ObstructionReport(False, 1, ((),))
     index = {g: i for i, g in enumerate(gens)}
-    compiled = [
-        tuple((index[g], 1 if e > 0 else -1) for g, e in rel.letters)
-        for rel in pres.relators
-        if rel.letters
-    ]
-    survivors = []
-    checked = 0
-    for sigma in product((1, -1), repeat=len(gens)):
-        checked += 1
-        violated = False
-        for rel in compiled:
-            first = rel[0][1] * sigma[rel[0][0]]
-            if all(s * sigma[i] == first for i, s in rel[1:]):
-                violated = True
-                break
-        if not violated:
-            survivors.append(tuple(PLUS if s == 1 else MINUS for s in sigma))
-    survivors.sort()
-    return ObstructionReport(not survivors, checked, tuple(survivors))
+    # checks[d]: (mask, pos, neg) of the relators whose last generator is d
+    checks = [[] for _ in gens]
+    for rel in pres.relators:
+        pos = neg = 0
+        for g, e in rel.letters:
+            if e > 0:
+                pos |= 1 << index[g]
+            else:
+                neg |= 1 << index[g]
+        if (pos or neg) and not pos & neg:
+            mask = pos | neg
+            checks[mask.bit_length() - 1].append((mask, pos, neg))
+    plus, minus = (PLUS,), (MINUS,)
+    found, negated = [], []
+    # (sigma, depth, signs, negated signs); "-" children are pushed first
+    # so that "+" children are popped first and survivors come out sorted
+    stack = [] if checks[0] else [(1, 1, plus, minus)]
+    while stack:
+        sigma, depth, signs, flipped = stack.pop()
+        if depth == n:
+            found.append(signs)
+            negated.append(flipped)
+            continue
+        for child, s, f in ((sigma, minus, plus), (sigma | 1 << depth, plus, minus)):
+            for mask, pos, neg in checks[depth]:
+                part = child & mask
+                if part == pos or part == neg:
+                    break
+            else:
+                stack.append((child, depth + 1, signs + s, flipped + f))
+    negated.reverse()
+    survivors = tuple(found + negated)
+    return ObstructionReport(not survivors, 1 << n, survivors)
 
 
 def present_two_bridge_cover(k: int, l: int, n: int, names=None) -> GroupPresentation:

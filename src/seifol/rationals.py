@@ -39,10 +39,6 @@ def parse_rational(text: str) -> Rational:
     return Fraction(num, den)
 
 
-def format_rational(value: Rational) -> str:
-    return str(value)
-
-
 @dataclass(frozen=True)
 class ContinuedFraction:
     """A bracket expansion ``[p_1, ..., p_m]`` with nonzero integer terms."""

@@ -105,6 +105,17 @@ def reverse_orientation(si: SeifertInvariants) -> SeifertInvariants:
     return flipped
 
 
+def torus_fiber_betas(r: int, s: int) -> tuple[int, int]:
+    """The numerators (beta_1, beta_2) of the two exceptional fibers
+    beta_1/r and beta_2/s of the fibration of the three-sphere by (r, s)
+    torus knots: beta_1 s + beta_2 r = -1 and 0 <= beta_2 < s, for coprime
+    r and s."""
+    beta2 = (-pow(r, -1, s)) % s
+    beta1, rem = divmod(-1 - beta2 * r, s)
+    assert rem == 0
+    return beta1, beta2
+
+
 def euler_number(si: SeifertInvariants) -> Fraction:
     """Exact Euler number ``b + sum(beta_i / alpha_i)``."""
     return Fraction(si.b) + sum((Fraction(be, a) for a, be in si.fibers), Fraction(0))

@@ -25,7 +25,7 @@ from math import gcd
 
 from .errors import NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
-from .seifert import SeifertInvariants, normalize
+from .seifert import SeifertInvariants, normalize, torus_fiber_betas
 
 SOURCE_COPRIME = "coprime"
 SOURCE_DIVISOR = "divisor"
@@ -132,9 +132,7 @@ def divisor_invariants(n: int, p: int, q: int) -> SeifertInvariants:
     copies of a common fiber over q, with beta_1 q + beta_2 p = -1 and
     0 < beta_2 < q."""
     assert p % n == 0
-    beta2 = (-pow(p, -1, q)) % q
-    beta1, rem = divmod(-1 - beta2 * p, q)
-    assert rem == 0
+    beta1, beta2 = torus_fiber_betas(p, q)
     return SeifertInvariants(0, ((p // n, beta1),) + ((q, beta2),) * n)
 
 

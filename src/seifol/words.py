@@ -74,9 +74,6 @@ class Word:
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.letters)
 
 
-EMPTY_WORD = Word()
-
-
 def word_power_product(factors) -> Word:
     """Expand a product of powers of subwords into a single word.
 

@@ -116,6 +116,30 @@ class TestSubcommands:
         assert first == second and "\n  " in first
 
 
+class TestLoCheckGoldens:
+    """Full stdout of ``lo check``, pinned byte for byte."""
+
+    TWOBRIDGE_1_1_6 = (
+        '{"payload": {"assignments_checked": 64, "nontriviality_assumed": true, "obstructed": false, '
+        '"survivors": ["++++--", "+++--+", "+++---", "++--++", "++---+", "++----", "+--+++", "+---++", "+----+", '
+        '"-++++-", "-+++--", "-++---", '
+        '"--++++", "--+++-", "--++--", "---+++", "---++-", "----++"]}, '
+        '"schema": "seifol/1", "status": "ok"}\n'
+    )
+    PRETZEL_1_2_3 = (
+        '{"payload": {"assignments_checked": 64, "nontriviality_assumed": true, "obstructed": true, '
+        '"survivors": []}, "schema": "seifol/1", "status": "ok"}\n'
+    )
+
+    def test_twobridge_1_1_6(self, capsys):
+        assert main(["lo", "check", "builtin:twobridge:1,1,6"]) == 0
+        assert capsys.readouterr().out == self.TWOBRIDGE_1_1_6
+
+    def test_pretzel_1_2_3(self, capsys):
+        assert main(["lo", "check", "builtin:pretzel:1,2,3"]) == 0
+        assert capsys.readouterr().out == self.PRETZEL_1_2_3
+
+
 class TestErrorHandling:
     def test_domain_error_exit_one(self, capsys):
         code, doc = run(capsys, "surgery", "1", "2", "3", "6/1")

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -34,6 +35,75 @@ def profile_string(pres, rel):
     symbols = {"+": "+", "-": "-", "absent": "o", "mixed": "!"}
     prof = sign_profile(rel, pres.generators)
     return "".join(symbols[prof[g]] for g in pres.generators)
+
+
+def brute_force_obstruction(pres):
+    """Oracle for coarse_obstruction: decide all 2^n assignments one by one,
+    testing every relator on each.  Returns (obstructed,
+    assignments_checked, survivors)."""
+    index = {g: i for i, g in enumerate(pres.generators)}
+    compiled = [
+        tuple((index[g], 1 if e > 0 else -1) for g, e in rel.letters)
+        for rel in pres.relators
+        if rel.letters
+    ]
+    survivors = []
+    checked = 0
+    for sigma in product((1, -1), repeat=len(pres.generators)):
+        checked += 1
+        violated = False
+        for rel in compiled:
+            first = rel[0][1] * sigma[rel[0][0]]
+            if all(s * sigma[i] == first for i, s in rel[1:]):
+                violated = True
+                break
+        if not violated:
+            survivors.append(tuple("+" if s == 1 else "-" for s in sigma))
+    survivors.sort()
+    return not survivors, checked, tuple(survivors)
+
+
+def report_fields(report):
+    return report.obstructed, report.assignments_checked, report.survivors
+
+
+def random_presentation(rng):
+    n = rng.randint(0, 9)
+    gens = tuple(f"g{i}" for i in range(n))
+    relators = []
+    for _ in range(rng.randint(0, 7)):
+        if not gens or rng.random() < 0.05:
+            relators.append(Word())
+            continue
+        letters = []
+        for _ in range(rng.randint(1, 6)):
+            g = rng.choice(gens[: rng.randint(1, n)])
+            letters.append((g, rng.choice((1, -1)) * rng.choice((1, 1, 1, 2, 3))))
+        relators.append(Word(letters))
+    return GroupPresentation(gens, tuple(relators))
+
+
+def killed_survivors(pres, survivors):
+    """Bitset of the survivors under which some relator is a same-sign
+    product, checked letter by letter for all survivors at once: bit j of
+    ``plus[g]`` is set when survivor j labels g "+"."""
+    everyone = (1 << len(survivors)) - 1
+    to_bits = str.maketrans("+-", "10")
+    plus = {
+        g: int("".join(column).translate(to_bits) or "0", 2)
+        for g, column in zip(pres.generators, zip(*survivors))
+    }
+    killed = 0
+    for rel in pres.relators:
+        if not rel.letters:
+            continue
+        all_positive = all_negative = everyone
+        for g, e in rel.letters:
+            positive = plus[g] if e > 0 else everyone ^ plus[g]
+            all_positive &= positive
+            all_negative &= everyone ^ positive
+        killed |= all_positive | all_negative
+    return killed
 
 
 def orbit_of_plus_plus_minus_minus():
@@ -126,9 +196,11 @@ class TestCoarseObstruction:
 
     def test_pretzel_covers_obstructed(self):
         for k, l, m in product(range(1, 4), repeat=3):
-            report = coarse_obstruction(present_pretzel_cover(k, l, m))
+            pres = present_pretzel_cover(k, l, m)
+            report = coarse_obstruction(pres)
             assert report.obstructed, (k, l, m)
             assert report.assignments_checked == 64
+            assert report_fields(report) == brute_force_obstruction(pres), (k, l, m)
 
     def test_two_bridge_survivors_form_the_orbit(self):
         expected = orbit_of_plus_plus_minus_minus()
@@ -188,6 +260,47 @@ class TestCoarseObstruction:
         pres = GroupPresentation(("x", "y"), (Word([("x", 1), ("y", 1), ("x", -1)]),))
         report = coarse_obstruction(pres)
         assert not report.obstructed and len(report.survivors) == 4
+
+
+class TestObstructionAgainstOracle:
+    """The branch-and-prune search must reproduce the 2^n enumeration:
+    the verdict, the count and every survivor, in order."""
+
+    def test_two_bridge_covers(self):
+        cases = [(k, l, n) for k, l in product(range(1, 4), repeat=2) for n in range(2, 13)]
+        for k, l, n in cases + [(1, 1, 14)]:
+            pres = present_two_bridge_cover(k, l, n)
+            assert report_fields(coarse_obstruction(pres)) == brute_force_obstruction(pres), (k, l, n)
+
+    def test_random_presentations(self):
+        rng = random.Random(20140625)
+        seen = {"no generators": 0, "empty relator": 0, "repeated letter": 0,
+                "mixed signs": 0, "exponent above 1": 0, "obstructed": 0, "unobstructed": 0}
+        for _ in range(1200):
+            pres = random_presentation(rng)
+            expected = brute_force_obstruction(pres)
+            assert report_fields(coarse_obstruction(pres)) == expected, format_presentation(pres)
+            seen["no generators"] += not pres.generators
+            seen["obstructed" if expected[0] else "unobstructed"] += 1
+            for rel in pres.relators:
+                names = [g for g, _ in rel.letters]
+                seen["empty relator"] += not rel.letters
+                seen["repeated letter"] += len(set(names)) < len(names)
+                seen["mixed signs"] += any(sign_profile(rel, pres.generators)[g] == "mixed" for g in names)
+                seen["exponent above 1"] += any(abs(e) > 1 for _, e in rel.letters)
+        assert all(seen.values()), seen
+
+    def test_large_two_bridge_covers(self):
+        for n in (16, 20, 24):
+            pres = present_two_bridge_cover(1, 1, n)
+            report = coarse_obstruction(pres)
+            survivors = report.survivors
+            assert report.assignments_checked == 2**n
+            assert not report.obstructed
+            assert list(survivors) == sorted(set(survivors)), n
+            negations = {tuple("-" if s == "+" else "+" for s in sv) for sv in survivors}
+            assert negations == set(survivors), n
+            assert killed_survivors(pres, survivors) == 0, n
 
 
 class TestPretzelSurgery:
