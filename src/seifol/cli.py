@@ -182,15 +182,23 @@ def _cmd_cable_check(args):
     }, row.label
 
 
+_BUILTIN_COVERS = {
+    "twobridge": (presentations.present_two_bridge_cover, "k l n"),
+    "pretzel": (presentations.present_pretzel_cover, "k l m"),
+}
+
+
+def _builtin_cover(family: str, params) -> presentations.GroupPresentation:
+    if family not in _BUILTIN_COVERS:
+        raise NotationError(f"unknown builtin {family!r}")
+    build, names = _BUILTIN_COVERS[family]
+    if len(params) != 3:
+        raise NotationError(f"{family} takes parameters {names}")
+    return build(*params)
+
+
 def _cmd_present(args):
-    if args.family == "twobridge":
-        if len(args.params) != 3:
-            raise NotationError("twobridge takes parameters k l n")
-        pres = presentations.present_two_bridge_cover(*args.params)
-    else:
-        if len(args.params) != 3:
-            raise NotationError("pretzel takes parameters k l m")
-        pres = presentations.present_pretzel_cover(*args.params)
+    pres = _builtin_cover(args.family, args.params)
     return {
         "generators": list(pres.generators),
         "relators": [str(r) for r in pres.relators],
@@ -201,12 +209,7 @@ def _cmd_present(args):
 def _load_presentation(source: str) -> presentations.GroupPresentation:
     if source.startswith("builtin:"):
         _, name, params = source.split(":", 2)
-        values = [int(x) for x in params.split(",")]
-        if name == "pretzel":
-            return presentations.present_pretzel_cover(*values)
-        if name == "twobridge":
-            return presentations.present_two_bridge_cover(*values)
-        raise NotationError(f"unknown builtin {name!r}")
+        return _builtin_cover(name, [int(x) for x in params.split(",")])
     if source == "-":
         return presentations.parse_presentation(sys.stdin.read())
     with open(source, encoding="utf-8") as fh:

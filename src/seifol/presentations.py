@@ -49,7 +49,8 @@ class GroupPresentation:
         return [[rel.exponent_sum(g) for g in self.generators] for rel in self.relators]
 
     def abelianization_order(self) -> int | None:
-        """Order of the abelianized group via Smith normal form; None if infinite."""
+        """Order of the abelianized group, as the cokernel order of the exponent-sum
+        matrix (:func:`seifol.snf.cokernel_order`); None if infinite."""
         return cokernel_order(self.abelianization_matrix(), len(self.generators))
 
 

@@ -125,8 +125,8 @@ def h1_order(si: SeifertInvariants) -> H1Order:
     """Order of first homology, by the closed formula |e| * prod(alpha).
 
     Infinite exactly when the Euler number vanishes.  Cross-checked in the
-    test suite against the Smith-normal-form oracle on the presentation
-    matrix from :func:`homology_presentation`.
+    test suite against :func:`h1_order_snf`, the cokernel order of the
+    presentation matrix from :func:`homology_presentation`.
     """
     e = euler_number(si)
     if e == 0:
@@ -152,7 +152,8 @@ def homology_presentation(si: SeifertInvariants) -> list[list[int]]:
 
 
 def h1_order_snf(si: SeifertInvariants) -> H1Order:
-    """Same quantity as :func:`h1_order`, via Smith normal form."""
+    """Same quantity as :func:`h1_order`, computed independently of the closed
+    formula as the cokernel order of :func:`homology_presentation`."""
     order = cokernel_order(homology_presentation(si), len(si.fibers) + 1)
     return H1Order.finite(order) if order is not None else H1Order.infinite()
 

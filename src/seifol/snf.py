@@ -1,108 +1,17 @@
-"""Smith normal form over the integers, plus abelian-group helpers.
+"""Order of a finitely presented abelian group, in polynomial time.
 
 Used as the independent oracle for first-homology computations: the
 closed-form order elsewhere in the package is cross-checked against the
-invariant factors computed here.
+index computed here.  The method is the modular one of Domich, Kannan and
+Trotter (1987).  Fraction-free elimination gives the rank and a multiple D
+of the index (a gcd of nonzero maximal minors); the row lattice then
+contains D·Z^n, so the rest of the elimination runs on entries reduced
+modulo D and no entry grows.
 """
 
 from __future__ import annotations
 
-from math import prod
-
-
-def smith_normal_form(matrix) -> list[int]:
-    """Return the diagonal of the Smith normal form of an integer matrix.
-
-    The result has length min(rows, cols); entries are nonnegative, each
-    divides the next, and trailing zeros indicate rank deficiency.
-    """
-    rows = [list(map(int, r)) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix")
-    size = min(m, n)
-    diag: list[int] = []
-    t = 0
-    while t < size:
-        pivot = _smallest_nonzero(rows, t, m, n)
-        if pivot is None:
-            break
-        _move_pivot(rows, t, pivot)
-        while True:
-            _make_pivot_positive(rows, t)
-            if _clear_column(rows, t, m):
-                continue
-            if _clear_row(rows, t, n):
-                continue
-            offender = _divisibility_offender(rows, t, m, n)
-            if offender is not None:
-                rows[t] = [x + y for x, y in zip(rows[t], rows[offender])]
-                continue
-            break
-        diag.append(abs(rows[t][t]))
-        t += 1
-    diag.extend([0] * (size - len(diag)))
-    return diag
-
-
-def _smallest_nonzero(rows, t, m, n):
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            v = abs(rows[i][j])
-            if v and (best is None or v < abs(rows[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _move_pivot(rows, t, pivot):
-    i, j = pivot
-    rows[t], rows[i] = rows[i], rows[t]
-    if j != t:
-        for r in rows:
-            r[t], r[j] = r[j], r[t]
-
-
-def _make_pivot_positive(rows, t):
-    if rows[t][t] < 0:
-        rows[t] = [-x for x in rows[t]]
-
-
-def _clear_column(rows, t, m):
-    """One pass of column clearing; returns True if the pivot shrank."""
-    for i in range(m):
-        if i == t or not rows[i][t]:
-            continue
-        q = rows[i][t] // rows[t][t]
-        rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
-        if rows[i][t]:
-            rows[t], rows[i] = rows[i], rows[t]
-            return True
-    return False
-
-
-def _clear_row(rows, t, n):
-    for j in range(n):
-        if j == t or not rows[t][j]:
-            continue
-        q = rows[t][j] // rows[t][t]
-        for r in rows:
-            r[j] -= q * r[t]
-        if rows[t][j]:
-            for r in rows:
-                r[t], r[j] = r[j], r[t]
-            return True
-    return False
-
-
-def _divisibility_offender(rows, t, m, n):
-    p = abs(rows[t][t])
-    for i in range(t + 1, m):
-        for j in range(t + 1, n):
-            if rows[i][j] % p:
-                return i
-    return None
+from math import gcd
 
 
 def cokernel_order(matrix, generators: int) -> int | None:
@@ -115,8 +24,94 @@ def cokernel_order(matrix, generators: int) -> int | None:
         return 1
     if not matrix:
         return None
-    d = smith_normal_form(matrix)
-    nonzero = [x for x in d if x]
-    if len(nonzero) < generators:
+    rows = [list(map(int, r)) for r in matrix]
+    if any(len(r) != generators for r in rows):
+        raise ValueError("ragged matrix")
+    rank, minor = _rank_and_minor(rows, generators)
+    if rank < generators:
         return None
-    return prod(nonzero)
+    if len(rows) == generators:
+        return minor
+    return _index_modulo(rows, generators, minor)
+
+
+def _rank_and_minor(rows, n):
+    """Rank r of the rows and the gcd of some nonzero r×r minors.
+
+    Bareiss elimination: every intermediate entry is a minor of the input,
+    so the divisions are exact and entry sizes stay polynomial.  At the
+    last pivot step the candidate pivots are r×r minors; their gcd is
+    returned, and the gcd of all r×r minors divides it.  A step leaves a
+    row with a zero in the pivot column only rescaled by pivot / prev, and
+    these factors telescope, so such rows are brought up to date only when
+    next needed: ``since[i]`` is the ``prev`` their entries are current at.
+    """
+    a = [r[:] for r in rows]
+    since = [1] * len(a)
+    rank, prev, minor = 0, 1, 0
+    for j in range(n):
+        live = [i for i in range(rank, len(a)) if a[i][j]]
+        if not live:
+            continue
+        for i in live:
+            if since[i] != prev:
+                a[i][j:] = [x * prev // since[i] for x in a[i][j:]]
+                since[i] = prev
+        minor = gcd(*(a[i][j] for i in live))
+        p = live[0]
+        a[rank], a[p] = a[p], a[rank]
+        since[rank], since[p] = since[p], since[rank]
+        top = a[rank][j:]
+        pivot = top[0]
+        for i in live[1:]:
+            f = a[i][j]
+            a[i][j:] = [(x * pivot - f * y) // prev for x, y in zip(a[i][j:], top)]
+            since[i] = pivot
+        prev = pivot
+        rank += 1
+    return rank, minor
+
+
+def _index_modulo(rows, n, d):
+    """[Z^n : L] for a row lattice L whose index divides d.
+
+    Then L contains d·Z^n and Z^n / L = Z^n / (L + d·Z^n), so entries are
+    reduced modulo d.  Column by column, a pivot row absorbs every other
+    row's entry in that column by unimodular extended-gcd steps, and then
+    d·e_j: the pivot g = gcd(pivot entry, d) is a factor of the index.  The
+    rows left have index dividing d / g in the remaining columns, which
+    becomes the new modulus; the row d·e_j yields is zero modulo it.
+    """
+    rows = [[x % d for x in r] for r in rows]
+    index = 1
+    for j in range(n):
+        if d == 1:
+            break
+        live = [row for row in rows if row[j] % d]
+        if not live:
+            return index * d
+        pivot = live[0]
+        for row in live[1:]:
+            a, b = pivot[j] % d, row[j] % d
+            g, s, t = _xgcd(a, b)
+            u, v = a // g, b // g
+            top, rest = pivot[j:], row[j:]
+            if t:  # else the pivot entry divides b and the pivot row stays
+                pivot[j:] = [(s * p + t * x) % d for p, x in zip(top, rest)]
+            row[j:] = [(u * x - v * p) % d for p, x in zip(top, rest)]
+        g = gcd(pivot[j], d)
+        index *= g
+        d //= g
+        rows = [row for row in rows if row is not pivot]
+    return index
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s·a + t·b, for a > 0 and b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0

@@ -150,6 +150,18 @@ class TestErrorHandling:
         code, doc = run(capsys, "seifert", "euler", "M(2/4)")
         assert code == 1 and doc["code"] == "notation-error"
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("builtin:twobridge:1,2", "twobridge takes parameters k l n"),
+            ("builtin:pretzel:1,2,3,4", "pretzel takes parameters k l m"),
+        ],
+    )
+    def test_builtin_parameter_count(self, capsys, source, message):
+        code, doc = run(capsys, "lo", "check", source)
+        assert code == 1
+        assert doc == {"status": "error", "code": "notation-error", "message": message}
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])

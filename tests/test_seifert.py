@@ -99,6 +99,35 @@ class TestEulerAndHomology:
             assert h1_order(si) == h1_order_snf(si)
 
 
+class TestManyFibers:
+    """The presentation-matrix order agrees with the closed formula far past
+    the fiber counts at which the row-and-column Smith normal form kept in
+    ``test_snf.py`` blows up: its entries grow exponentially with the
+    number of fibers."""
+
+    @pytest.mark.parametrize("b", [-1, 0])
+    @pytest.mark.parametrize("f", [24, 40, 60])
+    def test_unit_fractions(self, f, b):
+        si = SeifertInvariants(b, tuple((a, 1) for a in range(2, f + 2)))
+        assert h1_order_snf(si) == h1_order(si)
+
+    def test_random_forms(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            fibers = []
+            for _ in range(rng.randint(20, 60)):
+                alpha = rng.randint(2, 500)
+                beta = rng.choice([b for b in range(-alpha, alpha) if b and gcd(alpha, b) == 1])
+                fibers.append((alpha, beta))
+            si = SeifertInvariants(rng.randint(-3, 3), tuple(fibers))
+            assert h1_order_snf(si) == h1_order(si)
+
+    def test_zero_euler_number(self):
+        si = SeifertInvariants(0, tuple((a, s) for a in range(2, 18) for s in (1, -1)))
+        assert len(si.fibers) == 32 and euler_number(si) == 0
+        assert h1_order_snf(si) == h1_order(si) == H1Order.infinite()
+
+
 class TestNotation:
     @pytest.mark.parametrize(
         "text",
