@@ -208,8 +208,12 @@ def _cmd_present(args):
 
 def _load_presentation(source: str) -> presentations.GroupPresentation:
     if source.startswith("builtin:"):
-        _, name, params = source.split(":", 2)
-        return _builtin_cover(name, [int(x) for x in params.split(",")])
+        name, _, params = source[len("builtin:") :].partition(":")
+        try:
+            values = [int(x) for x in params.split(",")] if params else []
+        except ValueError as exc:
+            raise NotationError(f"builtin parameters must be integers, got {params!r}") from exc
+        return _builtin_cover(name, values)
     if source == "-":
         return presentations.parse_presentation(sys.stdin.read())
     with open(source, encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .seifert import SeifertInvariants, euler_number, is_lens_type, normalize, reverse_orientation
+from .seifert import SeifertInvariants, euler_number, normalize, reverse_orientation
 
 HORIZONTAL = "horizontal"
 NO_HORIZONTAL = "no-horizontal"
@@ -176,7 +176,7 @@ def decide_excellence(si: SeifertInvariants) -> ExcellenceVerdict:
     nsi = normalize(si)
     if euler_number(nsi) == 0:
         return ExcellenceVerdict(True, REASON_POSITIVE_B1)
-    if is_lens_type(nsi):
+    if len(nsi.fibers) <= 2:
         return ExcellenceVerdict(False, REASON_LENS)
     decision = decide_horizontal(nsi)
     if decision.horizontal:

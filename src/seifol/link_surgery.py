@@ -23,8 +23,7 @@ from .seifert import SeifertInvariants, normalize, reverse_orientation, torus_fi
 
 MERIDIAN_LONGITUDE = "meridian-longitude"
 MERIDIAN_FIBER = "meridian-fiber"
-SECTION_FIBER = "section-fiber"
-_BASES = (MERIDIAN_LONGITUDE, MERIDIAN_FIBER, SECTION_FIBER)
+_BASES = (MERIDIAN_LONGITUDE, MERIDIAN_FIBER)
 
 
 @dataclass(frozen=True)

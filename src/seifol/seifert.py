@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import NotationError
 from .snf import cokernel_order
@@ -117,8 +117,10 @@ def torus_fiber_betas(r: int, s: int) -> tuple[int, int]:
 
 
 def euler_number(si: SeifertInvariants) -> Fraction:
-    """Exact Euler number ``b + sum(beta_i / alpha_i)``."""
-    return Fraction(si.b) + sum((Fraction(be, a) for a, be in si.fibers), Fraction(0))
+    """Exact Euler number ``b + sum(beta_i / alpha_i)``, summed in integers
+    over the common denominator ``L = lcm(alpha_i)``."""
+    common = lcm(*(a for a, _ in si.fibers))
+    return Fraction(si.b * common + sum(be * (common // a) for a, be in si.fibers), common)
 
 
 def h1_order(si: SeifertInvariants) -> H1Order:

@@ -1,18 +1,13 @@
 """Seifert invariants of cyclic branched covers of torus knots.
 
 ``branched_invariants`` computes normalized invariants of the n-fold
-cyclic branched cover of the (p, q) torus knot in the cases where an
-explicit description is available:
-
-* ``gcd(n, pq) = 1`` -- a Brieskorn sphere with fiber multiplicities
-  p, q, n and Euler number -1/(pqn);
-* ``n`` divides p or q -- the divisor formula with r copies of a common
-  fiber;
-* ``(n, p or q) = (4, 2)`` -- the two-strand fourfold-cover formula;
-* a fixed table of the remaining small covers.
-
-Everything else is reported as Unsupported (a value, not an error): the
-general classification has mixed-gcd cases this package does not model.
+cyclic branched cover of the (p, q) torus knot.  That cover is the
+Brieskorn manifold with exponents (n, p, q), whose Seifert invariants are
+given by one formula of Neumann--Raymond (1978): see
+``brieskorn_invariants``.  Its base orbifold has genus g with
+2g = (gcd(n, p) - 1)(gcd(n, q) - 1).  Invariants here live over the
+two-sphere, so a cover with g >= 1 is reported as Unsupported (a value,
+not an error).
 
 ``classify_torus_cover`` is the independent finite/infinite fundamental
 group classifier, and ``cross_validate`` checks the two routes agree.
@@ -21,16 +16,11 @@ group classifier, and ``cross_validate`` checks the two routes agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm, prod
 
 from .errors import NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
-from .seifert import SeifertInvariants, normalize, torus_fiber_betas
-
-SOURCE_COPRIME = "coprime"
-SOURCE_DIVISOR = "divisor"
-SOURCE_SIGMA4 = "sigma4-two-strand"
-SOURCE_TABLE = "special-table"
+from .seifert import SeifertInvariants, normalize
 
 CONSISTENT = "Consistent"
 INCONSISTENT = "Inconsistent"
@@ -94,75 +84,43 @@ def exception_label(qr: TorusCoverQuery) -> str | None:
 
 
 def branched_invariants(qr: TorusCoverQuery) -> BranchedInvariantsResult:
+    """The n-fold cover is the Brieskorn manifold with exponents (n, p, q);
+    Unsupported exactly when its base orbifold has positive genus."""
     n, p, q = qr.n, qr.p, qr.q
-    if gcd(n, p * q) == 1:
-        return BranchedInvariantsResult(normalize(brieskorn_invariants(p, q, n)), SOURCE_COPRIME)
-    if p % n == 0:
-        return BranchedInvariantsResult(normalize(divisor_invariants(n, p, q)), SOURCE_DIVISOR)
-    if q % n == 0:
-        return BranchedInvariantsResult(normalize(divisor_invariants(n, q, p)), SOURCE_DIVISOR)
-    if n == 4 and p == 2:
-        return BranchedInvariantsResult(normalize(four_fold_two_strand(q)), SOURCE_SIGMA4)
-    if n == 4 and q == 2:
-        return BranchedInvariantsResult(normalize(four_fold_two_strand(p)), SOURCE_SIGMA4)
-    raw = special_table_raw(n, p, q)
-    if raw is not None:
-        return BranchedInvariantsResult(normalize(raw), SOURCE_TABLE)
-    return UNSUPPORTED
+    if gcd(n, p) > 1 and gcd(n, q) > 1:
+        return UNSUPPORTED
+    return BranchedInvariantsResult(normalize(brieskorn_invariants(n, p, q)), "neumann-raymond")
 
 
-def brieskorn_invariants(p: int, q: int, n: int) -> SeifertInvariants:
-    """Unique Seifert form with multiplicities {p, q, n} and Euler number
-    -1/(pqn); the betas are fixed by modular inverses and b is then forced."""
-    total = p * q * n
+def brieskorn_invariants(a1: int, a2: int, a3: int) -> SeifertInvariants:
+    """Seifert form of the Brieskorn manifold with three exponents, after
+    Neumann--Raymond (1978).
+
+    With l the lcm of the exponents, exponent a_i contributes
+    gcd(a_j, a_k) fibers of multiplicity alpha_i = l / lcm(a_j, a_k), each
+    with beta_i = -(l / a_i)^(-1) mod alpha_i, and none when alpha_i = 1;
+    the Euler number is -a_1 a_2 a_3 / l^2, which forces b.  Pairwise
+    coprime exponents give a Brieskorn sphere with Euler number
+    -1/(a_1 a_2 a_3).  The base genus is not recorded, so the form
+    describes the manifold only when the base is a sphere.
+    """
+    exponents = (a1, a2, a3)
+    l = lcm(*exponents)
+    total = l * l
     fibers = []
     weighted = 0
-    for alpha in (p, q, n):
-        cof = total // alpha
-        beta = (-pow(cof, -1, alpha)) % alpha
-        fibers.append((alpha, beta))
-        weighted += beta * cof
-    b, rem = divmod(-1 - weighted, total)
+    for i, a in enumerate(exponents):
+        aj, ak = exponents[:i] + exponents[i + 1 :]
+        alpha = l // lcm(aj, ak)
+        if alpha == 1:
+            continue
+        beta = (-pow(l // a, -1, alpha)) % alpha
+        count = gcd(aj, ak)
+        fibers += [(alpha, beta)] * count
+        weighted += count * beta * (total // alpha)
+    b, rem = divmod(-prod(exponents) - weighted, total)
     assert rem == 0
     return SeifertInvariants(b, tuple(fibers))
-
-
-def divisor_invariants(n: int, p: int, q: int) -> SeifertInvariants:
-    """Cover order dividing the strand count p: one fiber over p/n plus n
-    copies of a common fiber over q, with beta_1 q + beta_2 p = -1 and
-    0 < beta_2 < q."""
-    assert p % n == 0
-    beta1, beta2 = torus_fiber_betas(p, q)
-    return SeifertInvariants(0, ((p // n, beta1),) + ((q, beta2),) * n)
-
-
-def four_fold_two_strand(q: int) -> SeifertInvariants:
-    """Fourfold cover of the (2, q) torus knot for odd q: write q = 2k - 1
-    and c = floor(k^2/q) + 1; the invariants are
-    M(k - 2c; 1/2, (cq - k^2)/q, (cq - k^2)/q)."""
-    assert q % 2 == 1 and q >= 3
-    k = (q + 1) // 2
-    c = k * k // q + 1
-    num = c * q - k * k
-    return SeifertInvariants(k - 2 * c, ((2, 1), (q, num), (q, num)))
-
-
-def special_table_raw(n: int, p: int, q: int) -> SeifertInvariants | None:
-    """Fixed table of small covers, stored in their as-published unnormalized
-    form; keys are symmetric in p and q."""
-    lo, hi = min(p, q), max(p, q)
-    if (n, lo) == (2, 2):  # twofold cover of a two-strand knot: lens space
-        beta2 = (hi - 1) // 2
-        return SeifertInvariants(0, ((1, -1), (hi, beta2), (hi, beta2)))
-    table = {
-        (8, 2, 3): SeifertInvariants(-1, ((4, 1), (3, 1), (3, 1))),
-        (9, 2, 3): SeifertInvariants(0, ((3, 1), (1, 1), (2, -1), (2, -1), (2, -1))),
-        (3, 2, 3): SeifertInvariants(0, ((2, -1), (2, -1), (2, -1), (1, 1))),
-        (4, 2, 3): SeifertInvariants(0, ((2, -1), (1, 1), (3, -1), (3, -1))),
-        (2, 3, 4): SeifertInvariants(0, ((2, 1), (3, -1), (3, -1))),
-        (2, 3, 5): SeifertInvariants(1, ((2, -1), (3, -1), (5, -1))),
-    }
-    return table.get((n, lo, hi))
 
 
 @dataclass(frozen=True)

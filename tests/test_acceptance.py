@@ -42,11 +42,10 @@ from seifol.torus_covers import (
     branched_invariants,
     classify_torus_cover,
     crosscheck_sweep,
-    divisor_invariants,
-    special_table_raw,
     sweep_queries,
 )
 from seifol.words import free_reduce
+from torus_cover_oracle import divisor_invariants, special_table_raw
 
 M = parse_seifert
 
@@ -60,7 +59,7 @@ def test_criterion_01_classifier_reproduction_sweep():
     rep = crosscheck_sweep(9, 9, 9)
     elapsed = time.perf_counter() - start
     assert rep["inconsistencies"] == [], rep["inconsistencies"]
-    assert rep["computable"] >= 40
+    assert rep["computable"] == 146
     assert rep["consistent"] == rep["computable"]
     assert elapsed < 5.0, f"sweep took {elapsed:.2f}s"
     report(1, f"{rep['computable']} computable covers all consistent in {elapsed:.2f}s")
@@ -138,7 +137,8 @@ def test_criterion_05_divisor_table_agreement():
         raw = special_table_raw(n, p, q)
         assert raw is not None, (n, p, q)
         assert normalize(raw) == normalize(formula), (n, p, q)
-    report(5, f"divisor formula matches the published forms on {len(cases)} covers")
+        assert branched_invariants(TorusCoverQuery(n, p, q)).invariants == normalize(formula), (n, p, q)
+    report(5, f"divisor formula and Neumann-Raymond match the published forms on {len(cases)} covers")
 
 
 def test_criterion_06_cable_families():

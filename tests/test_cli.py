@@ -51,9 +51,15 @@ class TestSubcommands:
 
     def test_invariants(self, capsys):
         code, doc = run(capsys, "invariants", "2", "2", "5")
-        assert doc["payload"]["source"] == "divisor"
+        assert doc["payload"]["source"] == "neumann-raymond"
         assert doc["payload"]["notation"] == "M(-1; 2/5, 2/5)"
+        code, doc = run(capsys, "invariants", "6", "3", "5")
+        assert code == 0
+        assert doc["payload"]["notation"] == "M(-3; 1/2, 4/5, 4/5, 4/5)"
+        assert doc["payload"]["h1"] == 25
+        assert doc["payload"]["source"] == "neumann-raymond"
         code, doc = run(capsys, "invariants", "6", "2", "3")
+        assert code == 0
         assert doc["payload"] == {"known": False, "source": None}
 
     def test_crosscheck_sweep(self, capsys):
@@ -155,6 +161,8 @@ class TestErrorHandling:
         [
             ("builtin:twobridge:1,2", "twobridge takes parameters k l n"),
             ("builtin:pretzel:1,2,3,4", "pretzel takes parameters k l m"),
+            ("builtin:twobridge", "twobridge takes parameters k l n"),
+            ("builtin:twobridge:1,x,3", "builtin parameters must be integers, got '1,x,3'"),
         ],
     )
     def test_builtin_parameter_count(self, capsys, source, message):

@@ -38,4 +38,4 @@ def test_h1_matches_alexander_oracle_on_sweep():
         oracle = branched_h1_from_alexander(qr.n, qr.p, qr.q)
         expected = None if oracle == 0 else oracle
         assert mine == expected, (qr, mine, expected)
-    assert checked >= 40
+    assert checked == 146

@@ -13,12 +13,11 @@ from seifol.torus_covers import (
     classify_torus_cover,
     cross_validate,
     crosscheck_sweep,
-    divisor_invariants,
     exception_label,
-    four_fold_two_strand,
-    special_table_raw,
     sweep_queries,
 )
+from torus_cover_oracle import branched_invariants as oracle_invariants
+from torus_cover_oracle import divisor_invariants, four_fold_two_strand, special_table_raw
 
 M = parse_seifert
 
@@ -65,22 +64,22 @@ class TestClassifier:
 class TestBranchedInvariants:
     def test_double_cover_of_three_five(self):
         r = branched_invariants(TorusCoverQuery(2, 3, 5))
-        assert r.source == "coprime"
+        assert r.source == "neumann-raymond"
         assert r.invariants == M("M(-2; 1/2, 2/3, 4/5)")
 
     def test_double_cover_of_two_five(self):
         r = branched_invariants(TorusCoverQuery(2, 2, 5))
-        assert r.source == "divisor"
+        assert r.source == "neumann-raymond"
         assert r.invariants == M("M(-1; 2/5, 2/5)")
 
     def test_triple_cover_of_three_two(self):
         r = branched_invariants(TorusCoverQuery(3, 3, 2))
-        assert r.source == "divisor"
+        assert r.source == "neumann-raymond"
         assert r.invariants == M("M(-2; 1/2, 1/2, 1/2)")
 
     def test_four_fold_of_two_five(self):
         r = branched_invariants(TorusCoverQuery(4, 2, 5))
-        assert r.source == "sigma4-two-strand"
+        assert r.source == "neumann-raymond"
         assert r.invariants == M("M(-1; 1/2, 1/5, 1/5)")
 
     def test_five_fold_of_two_three(self):
@@ -93,6 +92,38 @@ class TestBranchedInvariants:
         r = branched_invariants(TorusCoverQuery(6, 2, 3))
         assert not r.known
 
+    def test_six_fold_of_three_five(self):
+        # exponent 6 shares 3 with p: three copies of the fiber over 5
+        r = branched_invariants(TorusCoverQuery(6, 3, 5))
+        assert r.source == "neumann-raymond"
+        assert r.invariants == M("M(-3; 1/2, 4/5, 4/5, 4/5)")
+        assert euler_number(r.invariants) == Fraction(-90, 30**2)
+        assert h1_order(r.invariants).order == 25
+
+    def test_matches_case_split_oracle(self):
+        answered = unsupported = 0
+        for n in range(2, 22):
+            for p in range(2, 22):
+                for q in range(2, 22):
+                    if gcd(p, q) != 1:
+                        continue
+                    qr = TorusCoverQuery(n, p, q)
+                    r = branched_invariants(qr)
+                    assert r.known == (gcd(n, p) == 1 or gcd(n, q) == 1), qr
+                    unsupported += not r.known
+                    expected = oracle_invariants(qr)
+                    if expected.known:
+                        answered += 1
+                        assert r.invariants == expected.invariants, qr
+        # ordered (p, q) pairs count every unordered query twice
+        assert (answered, unsupported) == (2 * 1494, 2 * 137)
+
+    def test_consistent_on_wide_sweep(self):
+        report = crosscheck_sweep(21, 21, 21)
+        assert report["inconsistencies"] == []
+        assert report["queries"] == 2380
+        assert report["computable"] == report["consistent"] == 2380 - 137
+
     def test_brieskorn_coprime_covers(self):
         for n in range(2, 14):
             for p in range(2, 14):
@@ -100,7 +131,7 @@ class TestBranchedInvariants:
                     if gcd(p, q) != 1 or gcd(n, p * q) != 1:
                         continue
                     r = branched_invariants(TorusCoverQuery(n, p, q))
-                    assert r.source == "coprime"
+                    assert r.source == "neumann-raymond"
                     assert euler_number(r.invariants) == Fraction(-1, p * q * n)
                     assert h1_order(r.invariants).order == 1
 
@@ -123,9 +154,11 @@ class TestBranchedInvariants:
             raw = special_table_raw(n, p, q)
             assert raw is not None
             assert normalize(raw) == formula
+            assert branched_invariants(TorusCoverQuery(n, p, q)).invariants == formula
 
     def test_table_agrees_with_four_fold_formula(self):
         assert normalize(special_table_raw(4, 2, 3)) == normalize(four_fold_two_strand(3))
+        assert branched_invariants(TorusCoverQuery(4, 2, 3)).invariants == normalize(four_fold_two_strand(3))
 
     def test_four_fold_subcase_fractions(self):
         # odd k: b = -1 and the repeated fiber equals (k-1)/(4k-2)
@@ -156,7 +189,7 @@ class TestCrossValidation:
     def test_sweep_consistency(self):
         report = crosscheck_sweep(9, 9, 9)
         assert report["inconsistencies"] == []
-        assert report["computable"] >= 40
+        assert report["computable"] == 146
         assert report["consistent"] == report["computable"]
 
     def test_four_fold_two_seven(self):
