@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import gluing, link_surgery, presentations, rationals, torus_covers
-from .errors import NotationError, SeifolError
+from .errors import NotationError, SeifolError, TooManyGenerators
 from .foliation import FoliationDecision, decide_excellence, decide_horizontal
 from .seifert import (
     SeifertInvariants,
@@ -79,8 +79,8 @@ def _cmd_seifert(args):
         h = h1_order(si)
         return {"order": h.order, "finite": h.is_finite}, None
     if op == "decide":
-        payload = _decision_payload(decide_horizontal(normalize(si)))
         verdict = decide_excellence(si)
+        payload = _decision_payload(verdict.decision or decide_horizontal(normalize(si)))
         payload["verdict"] = verdict.kind
         payload["reason"] = verdict.reason
         return payload, None
@@ -213,6 +213,10 @@ def _load_presentation(source: str) -> presentations.GroupPresentation:
             values = [int(x) for x in params.split(",")] if params else []
         except ValueError as exc:
             raise NotationError(f"builtin parameters must be integers, got {params!r}") from exc
+        cap = presentations.GENERATOR_CAP
+        if name == "twobridge" and len(values) == 3 and values[2] > cap:
+            # n is the generator count; refuse before building n relators
+            raise TooManyGenerators(f"{values[2]} generators exceeds cap {cap}")
         return _builtin_cover(name, values)
     if source == "-":
         return presentations.parse_presentation(sys.stdin.read())

@@ -69,8 +69,13 @@ class FoliationDecision:
 
 @dataclass(frozen=True)
 class ExcellenceVerdict:
+    """``decision`` is the foliation decision the verdict rests on; it is
+    ``None`` when no foliation criterion was applied (positive first Betti
+    number, lens type, or another classifier)."""
+
     excellent: bool
     reason: str
+    decision: FoliationDecision | None = None
 
     @property
     def kind(self) -> str:
@@ -147,21 +152,15 @@ def decide_horizontal(si: SeifertInvariants) -> FoliationDecision:
     b = si.b
     if -(n - 2) <= b <= -2:
         return FoliationDecision(HORIZONTAL, condition=1)
-    if b == -1:
-        found = witness_search(si.fibers)
-        if found:
-            m, a, roles = found
-            return FoliationDecision(HORIZONTAL, condition=2, witness=Witness(m, a, roles))
-        return FoliationDecision(NO_HORIZONTAL)
-    if b == -(n - 1):
-        rev = reverse_orientation(si)
-        found = witness_search(rev.fibers)
+    if b == -1 or b == -(n - 1):
+        # condition 3 is condition 2 on the orientation reversal
+        on_reverse = b != -1
+        found = witness_search((reverse_orientation(si) if on_reverse else si).fibers)
         if found:
             m, a, roles = found
             return FoliationDecision(
-                HORIZONTAL, condition=3, witness=Witness(m, a, roles, on_reverse=True)
+                HORIZONTAL, condition=3 if on_reverse else 2, witness=Witness(m, a, roles, on_reverse)
             )
-        return FoliationDecision(NO_HORIZONTAL)
     return FoliationDecision(NO_HORIZONTAL)
 
 
@@ -171,7 +170,7 @@ def decide_excellence(si: SeifertInvariants) -> ExcellenceVerdict:
     Zero Euler number means positive first Betti number, hence excellent.
     A lens-type manifold (at most two fibers) has finite cyclic fundamental
     group, never left-orderable.  Otherwise the horizontal-foliation
-    criterion decides.
+    criterion decides, and its decision is kept on the verdict.
     """
     nsi = normalize(si)
     if euler_number(nsi) == 0:
@@ -180,5 +179,5 @@ def decide_excellence(si: SeifertInvariants) -> ExcellenceVerdict:
         return ExcellenceVerdict(False, REASON_LENS)
     decision = decide_horizontal(nsi)
     if decision.horizontal:
-        return ExcellenceVerdict(True, REASON_HORIZONTAL)
-    return ExcellenceVerdict(False, REASON_NO_HORIZONTAL)
+        return ExcellenceVerdict(True, REASON_HORIZONTAL, decision)
+    return ExcellenceVerdict(False, REASON_NO_HORIZONTAL, decision)

@@ -206,7 +206,7 @@ def parse_linear(text: str) -> tuple[int, int]:
     coeff_txt, const_txt = m.groups()
     if coeff_txt is None:
         coeff = 0
-    elif coeff_txt in ("", "+"):
+    elif coeff_txt == "":
         coeff = 1
     elif coeff_txt == "-":
         coeff = -1
@@ -214,16 +214,6 @@ def parse_linear(text: str) -> tuple[int, int]:
         coeff = int(coeff_txt)
     const = int(const_txt) if const_txt else 0
     return coeff, const
-
-
-def format_linear(pair: tuple[int, int]) -> str:
-    a, b = pair
-    if a == 0:
-        return str(b)
-    ka = "k" if a == 1 else ("-k" if a == -1 else f"{a}k")
-    if b == 0:
-        return ka
-    return f"{ka}{b:+d}"
 
 
 def _parse_row(line: str) -> CableCaseRow:

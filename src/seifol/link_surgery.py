@@ -44,13 +44,13 @@ class Slope:
         return f"{self.a}/{self.c}"
 
 
-def parse_slope(text: str, basis: str = MERIDIAN_LONGITUDE) -> Slope:
+def parse_slope(text: str) -> Slope:
     parts = text.strip().split("/")
     try:
         if len(parts) == 1:
-            return Slope(int(parts[0]), 1, basis)
+            return Slope(int(parts[0]), 1)
         if len(parts) == 2:
-            return Slope(int(parts[0]), int(parts[1]), basis)
+            return Slope(int(parts[0]), int(parts[1]))
     except ValueError as exc:
         raise NotationError(f"bad slope {text!r}: {exc}") from exc
     raise NotationError(f"bad slope {text!r}")
@@ -89,17 +89,12 @@ def ml_to_mf(sl: Slope, r: int, s: int) -> Slope:
 
 
 def base_fibers(ext: TorusLinkExterior) -> tuple[tuple[int, int], ...]:
-    """Exceptional fibers of the ambient fibration that survive in the
-    exterior.  For r, s >= 2 these are beta_1'/r and beta_2/s with
-    beta_1 s + beta_2 r = -1, 0 < beta_2 < s and beta_1' = beta_1 + r."""
-    r, s = ext.r, ext.s
-    if r >= 2 and s >= 2:
-        beta1, beta2 = torus_fiber_betas(r, s)
-        return ((r, beta1 + r), (s, beta2))
-    if r == 1 and s == 1:
-        return ()
-    t = max(r, s)
-    return ((t, t - 1),)
+    """The fibers beta_1'/r and beta_2/s of the ambient fibration, with
+    beta_1 s + beta_2 r = -1, 0 <= beta_2 < s and beta_1' = beta_1 + r.
+    When r or s is 1 that entry has multiplicity one: a regular fiber,
+    which normalization drops."""
+    beta1, beta2 = torus_fiber_betas(ext.r, ext.s)
+    return ((ext.r, beta1 + ext.r), (ext.s, beta2))
 
 
 def fill(ext: TorusLinkExterior, slopes, mirror: bool = False) -> SeifertInvariants:

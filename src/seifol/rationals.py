@@ -98,45 +98,28 @@ def cf_expand(r: Rational, policy: str = CANONICAL_POSITIVE) -> ContinuedFractio
     and |r| > 1; otherwise NoEvenExpansion is raised.
     """
     r = Fraction(r)
-    if policy == CANONICAL_POSITIVE:
-        return _expand_canonical(r)
-    if policy == EVEN_TERMS:
-        return _expand_even(r)
-    raise ValueError(f"unknown expansion policy {policy!r}")
-
-
-def _expand_canonical(r: Fraction) -> ContinuedFraction:
-    if 0 <= r < 1:
-        raise DegenerateExpansion(
-            f"{r} lies in [0, 1); greedy expansion would need a zero leading term"
-        )
-    terms = []
-    x = r
-    while True:
-        p = x.numerator // x.denominator
-        rem = x - p
-        if rem == 0:
-            terms.append(p)
-            return ContinuedFraction(tuple(terms))
-        terms.append(p)
-        x = 1 / rem  # rem in (0, 1), so x > 1 and later terms are >= 1
-
-
-def _expand_even(r: Fraction) -> ContinuedFraction:
     a, b = r.numerator, r.denominator
-    if a % 2 == 1 and b % 2 == 1:
-        raise NoEvenExpansion(f"{r} has odd numerator and denominator")
-    if -1 < r < 1:
-        raise NoEvenExpansion(f"{r} lies in (-1, 1); all tails of an even expansion exceed 1")
+    if policy == CANONICAL_POSITIVE:
+        if 0 <= r < 1:
+            raise DegenerateExpansion(
+                f"{r} lies in [0, 1); greedy expansion would need a zero leading term"
+            )
+    elif policy == EVEN_TERMS:
+        if a % 2 == 1 and b % 2 == 1:
+            raise NoEvenExpansion(f"{r} has odd numerator and denominator")
+        if -1 < r < 1:
+            raise NoEvenExpansion(f"{r} lies in (-1, 1); all tails of an even expansion exceed 1")
+    else:
+        raise ValueError(f"unknown expansion policy {policy!r}")
     terms = []
-    while True:
-        if b == 1:
-            terms.append(a)
-            return ContinuedFraction(tuple(terms))
-        # Nearest even integer to a/b; parity forces |a - p*b| < b, so no ties.
-        p = 2 * ((a + b) // (2 * b))
+    while b != 1:
+        # even-terms: the nearest even integer to a/b; parity forces
+        # |a - p*b| < b, so there are no ties.  canonical-positive: the
+        # floor, whose remainder is positive, so later terms are >= 1.
+        p = 2 * ((a + b) // (2 * b)) if policy == EVEN_TERMS else a // b
         terms.append(p)
-        na, nb = b, a - p * b
-        if nb < 0:
-            na, nb = -na, -nb
-        a, b = na, nb
+        a, b = b, a - p * b
+        if b < 0:
+            a, b = -a, -b
+    terms.append(a)
+    return ContinuedFraction(tuple(terms))

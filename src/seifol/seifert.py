@@ -160,11 +160,6 @@ def h1_order_snf(si: SeifertInvariants) -> H1Order:
     return H1Order.finite(order) if order is not None else H1Order.infinite()
 
 
-def is_lens_type(si: SeifertInvariants) -> bool:
-    """At most two exceptional fibers survive normalization."""
-    return len(normalize(si).fibers) <= 2
-
-
 _TOKEN_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 

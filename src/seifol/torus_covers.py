@@ -125,21 +125,25 @@ def brieskorn_invariants(a1: int, a2: int, a3: int) -> SeifertInvariants:
 
 @dataclass(frozen=True)
 class CrossCheck:
+    """Outcome of :func:`cross_validate`; ``verdict`` is the classifier's."""
+
     status: str
+    verdict: ExcellenceVerdict
     details: str = ""
 
 
 def cross_validate(qr: TorusCoverQuery) -> CrossCheck:
     """Compare the classifier with the decision derived from the invariants."""
+    asserted = classify_torus_cover(qr)
     result = branched_invariants(qr)
     if not result.known:
-        return CrossCheck(NOT_COMPUTABLE)
+        return CrossCheck(NOT_COMPUTABLE, asserted)
     derived = decide_excellence(result.invariants)
-    asserted = classify_torus_cover(qr)
     if derived.excellent == asserted.excellent:
-        return CrossCheck(CONSISTENT)
+        return CrossCheck(CONSISTENT, asserted)
     return CrossCheck(
         INCONSISTENT,
+        asserted,
         f"classifier says {asserted.kind} but invariants {result.invariants} "
         f"decide {derived.kind} ({derived.reason})",
     )
@@ -161,9 +165,9 @@ def crosscheck_sweep(n_max: int, p_max: int, q_max: int) -> dict:
     total_l_spaces = []
     for qr in sweep_queries(n_max, p_max, q_max):
         total += 1
-        if not classify_torus_cover(qr).excellent:
-            total_l_spaces.append((qr.n, qr.p, qr.q))
         check = cross_validate(qr)
+        if not check.verdict.excellent:
+            total_l_spaces.append((qr.n, qr.p, qr.q))
         if check.status == NOT_COMPUTABLE:
             continue
         computable += 1

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from seifol import cli, foliation, presentations, seifert
 from seifol.cli import main
 
 
@@ -146,6 +147,89 @@ class TestLoCheckGoldens:
         assert capsys.readouterr().out == self.PRETZEL_1_2_3
 
 
+class TestDecideGoldens:
+    """Full stdout of ``seifert decide`` on every branch and of the default
+    ``crosscheck``, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "form, payload",
+        [
+            (  # condition 1
+                "M(-2; 1/2, 1/2, 1/2, 1/5)",
+                '{"condition": 1, "horizontal": true, "reason": "horizontal-foliation", "verdict": "Excellent"}',
+            ),
+            (  # condition 2
+                "M(-1; 1/2, 1/3, 1/8)",
+                '{"a": 2, "condition": 2, "horizontal": true, "m": 5, "reason": "horizontal-foliation", '
+                '"roles": [1, 0], "verdict": "Excellent"}',
+            ),
+            (  # condition 3
+                "M(-2; 1/2, 5/7, 5/7)",
+                '{"a": 1, "condition": 3, "horizontal": true, "m": 3, "on_reverse": true, '
+                '"reason": "horizontal-foliation", "roles": [1, 0], "verdict": "Excellent"}',
+            ),
+            (  # refuted on the reversal
+                "M(-2; 1/2, 2/3, 4/5)",
+                '{"horizontal": false, "reason": "no-horizontal-foliation", "verdict": "TotalLSpace"}',
+            ),
+            (  # refuted at b = -1
+                "M(-1; 1/2, 1/2, 1/2)",
+                '{"horizontal": false, "reason": "no-horizontal-foliation", "verdict": "TotalLSpace"}',
+            ),
+            (
+                "M(-1; 2/5, 2/5)",
+                '{"horizontal": false, "inapplicable": "fewer-than-3-fibers", "reason": "lens-type", '
+                '"verdict": "TotalLSpace"}',
+            ),
+            (
+                "M(0)",
+                '{"horizontal": false, "inapplicable": "fewer-than-3-fibers", "reason": "positive-b1", '
+                '"verdict": "Excellent"}',
+            ),
+            (  # e = 0 with three fibers: the foliation decision is still reported
+                "M(-1; 1/2, 1/4, 1/4)",
+                '{"a": 1, "condition": 2, "horizontal": true, "m": 3, "reason": "positive-b1", '
+                '"roles": [1, 0], "verdict": "Excellent"}',
+            ),
+            (  # unnormalized input
+                "M(1, -1/2, -1/3, -1/5)",
+                '{"horizontal": false, "reason": "no-horizontal-foliation", "verdict": "TotalLSpace"}',
+            ),
+        ],
+    )
+    def test_decide(self, capsys, form, payload):
+        assert main(["seifert", "decide", form]) == 0
+        expected = '{"payload": ' + payload + ', "schema": "seifol/1", "status": "ok"}\n'
+        assert capsys.readouterr().out == expected
+
+    CROSSCHECK = (
+        '{"payload": {"computable": 146, "consistent": 146, "inconsistencies": [], "queries": 152, '
+        '"total_l_spaces": [[2, 2, 3], [2, 2, 5], [2, 2, 7], [2, 2, 9], [2, 3, 4], [2, 3, 5], '
+        '[3, 2, 3], [3, 2, 5], [4, 2, 3], [5, 2, 3]]}, "schema": "seifol/1", "status": "ok"}\n'
+    )
+
+    def test_default_crosscheck(self, capsys):
+        assert main(["crosscheck"]) == 0
+        assert capsys.readouterr().out == self.CROSSCHECK
+
+    def test_decide_searches_once(self, capsys, monkeypatch):
+        calls = {"witness_search": 0, "normalize": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(foliation, "witness_search", counting("witness_search", foliation.witness_search))
+        wrapped = counting("normalize", seifert.normalize)
+        for module in (seifert, foliation, cli):
+            monkeypatch.setattr(module, "normalize", wrapped)
+        assert main(["seifert", "decide", "M(-1; 1/2, 1/3, 1/8)"]) == 0
+        assert calls == {"witness_search": 1, "normalize": 1}
+
+
 class TestErrorHandling:
     def test_domain_error_exit_one(self, capsys):
         code, doc = run(capsys, "surgery", "1", "2", "3", "6/1")
@@ -169,6 +253,16 @@ class TestErrorHandling:
         code, doc = run(capsys, "lo", "check", source)
         assert code == 1
         assert doc == {"status": "error", "code": "notation-error", "message": message}
+
+    def test_generator_cap_refused_before_building(self, capsys, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("presentation built beyond the generator cap")
+
+        monkeypatch.setattr(presentations, "present_two_bridge_cover", unexpected)
+        monkeypatch.setitem(cli._BUILTIN_COVERS, "twobridge", (unexpected, "k l n"))
+        code, doc = run(capsys, "lo", "check", "builtin:twobridge:1,1,25")
+        assert code == 1
+        assert doc == {"status": "error", "code": "too-many-generators", "message": "25 generators exceeds cap 24"}
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as err:

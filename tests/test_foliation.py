@@ -108,6 +108,12 @@ class TestDecideExcellence:
         verdict = decide_excellence(M("M(0)"))
         assert verdict.excellent and verdict.reason == "positive-b1"
 
+    def test_verdict_carries_decision(self):
+        for form in ("M(-1; 1/2, 1/3, 1/8)", "M(-2; 1/2, 5/7, 5/7)", "M(-2; 1/2, 2/3, 4/5)", "M(1, -1/2, -1/3, -1/5)"):
+            assert decide_excellence(M(form)).decision == decide_horizontal(normalize(M(form)))
+        for form in ("M(0)", "M(-1; 2/5, 2/5)", "M(-1; 1/2, 1/4, 1/4)"):
+            assert decide_excellence(M(form)).decision is None
+
     def test_unnormalized_accepted(self):
         assert not decide_excellence(M("M(1, -1/2, -1/3, -1/5)")).excellent
 

@@ -54,6 +54,18 @@ class TestFill:
         si = fill(TorusLinkExterior(2, 1, 2), [Slope(-2, 1), Slope(-2, 1)])
         assert si == M("M(-1; 1/2, 1/4, 1/4)")
 
+    @pytest.mark.parametrize(
+        "ext, slopes, form",
+        [
+            ((2, 3, 1), [(-2, 1), (-2, 1)], "M(-1; 2/3, 1/5, 1/5)"),
+            ((3, 1, 1), [(-2, 1)] * 3, "M(-1; 1/3, 1/3, 1/3)"),
+            ((2, 1, 3), [(5, 2), (-1, 1)], "M(1; 2/3, 1/4)"),
+        ],
+    )
+    def test_unit_torus_parameter(self, ext, slopes, form):
+        # r or s = 1 makes an ambient fiber regular; normalization drops it
+        assert fill(TorusLinkExterior(*ext), [Slope(a, c) for a, c in slopes]) == M(form)
+
     def test_meridian_filling_gives_sphere(self):
         si = fill(TorusLinkExterior(1, 2, 3), [Slope(1, 0)])
         assert si == M("M(-1; 1/2, 1/3)")

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from seifol.errors import NotationError
+from seifol.foliation import decide_excellence
 from seifol.seifert import (
     H1Order,
     SeifertInvariants,
@@ -12,7 +13,6 @@ from seifol.seifert import (
     format_seifert,
     h1_order,
     h1_order_snf,
-    is_lens_type,
     normalize,
     parse_seifert,
     reverse_orientation,
@@ -90,7 +90,7 @@ class TestEulerAndHomology:
         si = M("M(-1; 2/5, 2/5)")
         assert euler_number(si) == Fraction(-1, 5)
         assert h1_order(si) == H1Order.finite(5)
-        assert is_lens_type(si)
+        assert decide_excellence(si).reason == "lens-type"
 
     def test_closed_formula_matches_snf_oracle(self):
         rng = random.Random(13)

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from seifol import torus_covers
 from seifol.foliation import decide_excellence, decide_horizontal
 from seifol.seifert import euler_number, h1_order, normalize, parse_seifert, reverse_orientation
 from seifol.torus_covers import (
@@ -184,13 +185,29 @@ class TestCrossValidation:
         assert cross_validate(TorusCoverQuery(n, p, q)).status == CONSISTENT
 
     def test_not_computable(self):
-        assert cross_validate(TorusCoverQuery(6, 2, 3)).status == NOT_COMPUTABLE
+        check = cross_validate(TorusCoverQuery(6, 2, 3))
+        assert check.status == NOT_COMPUTABLE
+        assert check.verdict == classify_torus_cover(TorusCoverQuery(6, 2, 3))
+        assert check.verdict.decision is None
 
     def test_sweep_consistency(self):
         report = crosscheck_sweep(9, 9, 9)
         assert report["inconsistencies"] == []
         assert report["computable"] == 146
         assert report["consistent"] == report["computable"]
+
+    def test_sweep_classifies_each_query_once(self, monkeypatch):
+        calls = []
+        original = torus_covers.classify_torus_cover
+
+        def counting(qr):
+            calls.append(qr)
+            return original(qr)
+
+        monkeypatch.setattr(torus_covers, "classify_torus_cover", counting)
+        report = crosscheck_sweep(9, 9, 9)
+        assert report["queries"] == 152
+        assert len(calls) == 152 and len(set(calls)) == 152
 
     def test_four_fold_two_seven(self):
         r = branched_invariants(TorusCoverQuery(4, 2, 7))
