@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import gluing, link_surgery, presentations, rationals, torus_covers
@@ -41,8 +42,6 @@ def _seifert_payload(si: SeifertInvariants) -> dict:
 
 def _decision_payload(decision: FoliationDecision) -> dict:
     out: dict = {"horizontal": decision.horizontal}
-    if decision.kind == "inapplicable":
-        out["inapplicable"] = decision.reason
     if decision.condition is not None:
         out["condition"] = decision.condition
     if decision.witness is not None:
@@ -80,7 +79,7 @@ def _cmd_seifert(args):
         return {"order": h.order, "finite": h.is_finite}, None
     if op == "decide":
         verdict = decide_excellence(si)
-        payload = _decision_payload(verdict.decision or decide_horizontal(normalize(si)))
+        payload = _decision_payload(verdict.decision) if verdict.decision else {}
         payload["verdict"] = verdict.kind
         payload["reason"] = verdict.reason
         return payload, None
@@ -177,7 +176,7 @@ def _cmd_cable_check(args):
     report = gluing.cable_family_check(row, args.kmin, args.kmax)
     return {
         "checked": list(report.checked),
-        "failures": [list(f) for f in report.failures],
+        "failures": list(report.failures),
         "ok": report.ok,
     }, row.label
 
@@ -194,6 +193,10 @@ def _builtin_cover(family: str, params) -> presentations.GroupPresentation:
     build, names = _BUILTIN_COVERS[family]
     if len(params) != 3:
         raise NotationError(f"{family} takes parameters {names}")
+    cap = presentations.GENERATOR_CAP
+    if family == "twobridge" and params[2] > cap:
+        # n is the generator count; refuse before building n relators
+        raise TooManyGenerators(f"{params[2]} generators exceeds cap {cap}")
     return build(*params)
 
 
@@ -213,10 +216,6 @@ def _load_presentation(source: str) -> presentations.GroupPresentation:
             values = [int(x) for x in params.split(",")] if params else []
         except ValueError as exc:
             raise NotationError(f"builtin parameters must be integers, got {params!r}") from exc
-        cap = presentations.GENERATOR_CAP
-        if name == "twobridge" and len(values) == 3 and values[2] > cap:
-            # n is the generator count; refuse before building n relators
-            raise TooManyGenerators(f"{values[2]} generators exceeds cap {cap}")
         return _builtin_cover(name, values)
     if source == "-":
         return presentations.parse_presentation(sys.stdin.read())
@@ -352,11 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(document: dict, pretty: bool) -> None:
-    if pretty:
-        json.dump(document, sys.stdout, indent=2, sort_keys=True)
-    else:
-        json.dump(document, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(document, indent=2 if pretty else None, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
@@ -365,16 +360,22 @@ def main(argv=None) -> int:
     try:
         payload, provenance = args.handler(args)
     except SeifolError as exc:
-        _emit({"status": "error", "code": exc.code, "message": str(exc)}, args.pretty)
-        return 1
+        document, code = {"status": "error", "code": exc.code, "message": str(exc)}, 1
     except (ValueError, OSError) as exc:
-        _emit({"status": "error", "code": "domain-error", "message": str(exc)}, args.pretty)
+        document, code = {"status": "error", "code": "domain-error", "message": str(exc)}, 1
+    else:
+        document, code = {"status": "ok", "schema": SCHEMA, "payload": payload}, 0
+        if provenance is not None:
+            document["provenance"] = provenance
+    try:
+        _emit(document, args.pretty)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; devnull keeps the flush at exit quiet (Python docs recipe)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
-    document = {"status": "ok", "schema": SCHEMA, "payload": payload}
-    if provenance is not None:
-        document["provenance"] = provenance
-    _emit(document, args.pretty)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

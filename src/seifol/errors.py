@@ -42,7 +42,7 @@ class ZeroExponent(SeifolError):
 
 
 class TooManyGenerators(SeifolError):
-    """The sign-assignment search would exceed the configured generator cap."""
+    """More generators than the sign-assignment search accepts (``GENERATOR_CAP``)."""
 
     code = "too-many-generators"
 

@@ -19,6 +19,10 @@ fiber multiplicity: any fiber in the last role forces
 plays that role, so no witness exists beyond the bound.  The first witness
 in the order (smallest ``m``, then ``a``, then the ordered index pair) is
 returned, so results are deterministic.
+
+``decide_horizontal`` accepts only the forms the criterion covers
+(normalized, three or more fibers) and always answers yes or no;
+``decide_excellence`` settles every other form before it is called.
 """
 
 from __future__ import annotations
@@ -27,20 +31,10 @@ from dataclasses import dataclass
 
 from .seifert import SeifertInvariants, euler_number, normalize, reverse_orientation
 
-HORIZONTAL = "horizontal"
-NO_HORIZONTAL = "no-horizontal"
-INAPPLICABLE = "inapplicable"
-
 REASON_POSITIVE_B1 = "positive-b1"
 REASON_HORIZONTAL = "horizontal-foliation"
 REASON_LENS = "lens-type"
 REASON_NO_HORIZONTAL = "no-horizontal-foliation"
-DECIDER_REASONS = (
-    REASON_POSITIVE_B1,
-    REASON_HORIZONTAL,
-    REASON_LENS,
-    REASON_NO_HORIZONTAL,
-)
 
 
 @dataclass(frozen=True)
@@ -57,21 +51,21 @@ class Witness:
 
 @dataclass(frozen=True)
 class FoliationDecision:
-    kind: str
+    """``condition`` is the number of the condition that holds, and
+    ``witness`` its data for conditions 2 and 3; both are ``None`` when no
+    horizontal foliation exists."""
+
+    horizontal: bool
     condition: int | None = None
     witness: Witness | None = None
-    reason: str | None = None
-
-    @property
-    def horizontal(self) -> bool:
-        return self.kind == HORIZONTAL
 
 
 @dataclass(frozen=True)
 class ExcellenceVerdict:
     """``decision`` is the foliation decision the verdict rests on; it is
-    ``None`` when no foliation criterion was applied (positive first Betti
-    number, lens type, or another classifier)."""
+    ``None`` exactly when the foliation criterion was not applied: for
+    reasons ``positive-b1`` and ``lens-type``, and for the verdicts of
+    :func:`~seifol.torus_covers.classify_torus_cover`."""
 
     excellent: bool
     reason: str
@@ -141,27 +135,25 @@ def has_witness(si: SeifertInvariants, m: int, a: int) -> bool:
 def decide_horizontal(si: SeifertInvariants) -> FoliationDecision:
     """Apply the three-condition criterion to a normalized Seifert form.
 
-    Inapplicable for unnormalized input or fewer than three fibers; those
-    cases belong to :func:`decide_excellence`.
+    Raises ``ValueError`` for unnormalized input or fewer than three fibers;
+    those forms belong to :func:`decide_excellence`.
     """
     if not si.normalized:
-        return FoliationDecision(INAPPLICABLE, reason="not-normalized")
+        raise ValueError("the criterion needs a normalized form")
     n = len(si.fibers)
     if n < 3:
-        return FoliationDecision(INAPPLICABLE, reason="fewer-than-3-fibers")
+        raise ValueError("the criterion needs at least 3 exceptional fibers")
     b = si.b
     if -(n - 2) <= b <= -2:
-        return FoliationDecision(HORIZONTAL, condition=1)
+        return FoliationDecision(True, condition=1)
     if b == -1 or b == -(n - 1):
         # condition 3 is condition 2 on the orientation reversal
         on_reverse = b != -1
         found = witness_search((reverse_orientation(si) if on_reverse else si).fibers)
         if found:
             m, a, roles = found
-            return FoliationDecision(
-                HORIZONTAL, condition=3 if on_reverse else 2, witness=Witness(m, a, roles, on_reverse)
-            )
-    return FoliationDecision(NO_HORIZONTAL)
+            return FoliationDecision(True, 3 if on_reverse else 2, Witness(m, a, roles, on_reverse))
+    return FoliationDecision(False)
 
 
 def decide_excellence(si: SeifertInvariants) -> ExcellenceVerdict:
@@ -178,6 +170,5 @@ def decide_excellence(si: SeifertInvariants) -> ExcellenceVerdict:
     if len(nsi.fibers) <= 2:
         return ExcellenceVerdict(False, REASON_LENS)
     decision = decide_horizontal(nsi)
-    if decision.horizontal:
-        return ExcellenceVerdict(True, REASON_HORIZONTAL, decision)
-    return ExcellenceVerdict(False, REASON_NO_HORIZONTAL, decision)
+    reason = REASON_HORIZONTAL if decision.horizontal else REASON_NO_HORIZONTAL
+    return ExcellenceVerdict(decision.horizontal, reason, decision)

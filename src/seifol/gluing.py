@@ -27,7 +27,7 @@ from importlib import resources
 from math import gcd
 
 from .errors import DegenerateParameter, NotationError
-from .foliation import FoliationDecision, decide_horizontal
+from .foliation import decide_horizontal
 from .seifert import SeifertInvariants, normalize, reverse_orientation
 
 
@@ -307,7 +307,7 @@ def cable_family_invariants(row: CableCaseRow, k: int) -> SeifertInvariants:
 class CableCheckReport:
     label: str
     checked: tuple[int, ...]
-    failures: tuple[tuple[int, str], ...]
+    failures: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
@@ -316,14 +316,9 @@ class CableCheckReport:
 
 def cable_family_check(row: CableCaseRow, k_min: int, k_max: int) -> CableCheckReport:
     """Decide horizontality for every k in [k_min, k_max] that lies in the
-    row's expected-horizontal range, reporting violations."""
-    checked = []
-    failures = []
-    for k in range(k_min, k_max + 1):
-        if k > row.k_max:
-            continue
-        checked.append(k)
-        decision: FoliationDecision = decide_horizontal(cable_family_invariants(row, k))
-        if not decision.horizontal:
-            failures.append((k, decision.kind))
-    return CableCheckReport(row.label, tuple(checked), tuple(failures))
+    row's expected-horizontal range, reporting the k values that fail."""
+    checked = tuple(range(k_min, min(k_max, row.k_max) + 1))
+    failures = tuple(
+        k for k in checked if not decide_horizontal(cable_family_invariants(row, k)).horizontal
+    )
+    return CableCheckReport(row.label, checked, failures)

@@ -80,7 +80,7 @@ class ObstructionReport:
     nontriviality_assumed: bool = field(default=True)
 
 
-def coarse_obstruction(pres: GroupPresentation, cap: int = GENERATOR_CAP) -> ObstructionReport:
+def coarse_obstruction(pres: GroupPresentation) -> ObstructionReport:
     """Decide every {+,-} assignment, rejecting those under which some
     relator is a same-sign product.
 
@@ -101,8 +101,8 @@ def coarse_obstruction(pres: GroupPresentation, cap: int = GENERATOR_CAP) -> Obs
     """
     gens = pres.generators
     n = len(gens)
-    if n > cap:
-        raise TooManyGenerators(f"{n} generators exceeds cap {cap}")
+    if n > GENERATOR_CAP:
+        raise TooManyGenerators(f"{n} generators exceeds cap {GENERATOR_CAP}")
     if not n:
         return ObstructionReport(False, 1, ((),))
     index = {g: i for i, g in enumerate(gens)}

@@ -9,8 +9,9 @@ given by one formula of Neumann--Raymond (1978): see
 two-sphere, so a cover with g >= 1 is reported as Unsupported (a value,
 not an error).
 
-``classify_torus_cover`` is the independent finite/infinite fundamental
-group classifier, and ``cross_validate`` checks the two routes agree.
+``classify_torus_cover`` is the independent route: Milnor's (1975)
+criterion that the fundamental group of the cover is finite iff
+1/n + 1/p + 1/q > 1.  ``cross_validate`` checks the two routes agree.
 """
 
 from __future__ import annotations
@@ -56,31 +57,12 @@ UNSUPPORTED = BranchedInvariantsResult(None, None)
 
 
 def classify_torus_cover(qr: TorusCoverQuery) -> ExcellenceVerdict:
-    """Excellent iff the fundamental group of the cover is infinite.
-
-    The finite cases form a short exception list; the verdict's reason
-    records which exception fired.
-    """
-    label = exception_label(qr)
-    if label:
-        return ExcellenceVerdict(False, f"exception {label}")
+    """Excellent iff the fundamental group of the cover is infinite, that
+    is iff 1/n + 1/p + 1/q <= 1, tested in integers."""
+    n, p, q = qr.n, qr.p, qr.q
+    if p * q + n * q + n * p > n * p * q:
+        return ExcellenceVerdict(False, "finite-fundamental-group")
     return ExcellenceVerdict(True, "infinite-fundamental-group")
-
-
-def exception_label(qr: TorusCoverQuery) -> str | None:
-    pq = {qr.p, qr.q}
-    n = qr.n
-    if pq == {2, 3} and 2 <= n <= 5:
-        return "(i)"
-    if pq == {2, 5} and 2 <= n <= 3:
-        return "(ii)"
-    if 2 in pq and max(pq) >= 7 and n == 2:
-        return "(iii)"
-    if pq == {3, 4} and n == 2:
-        return "(iv)"
-    if pq == {3, 5} and n == 2:
-        return "(v)"
-    return None
 
 
 def branched_invariants(qr: TorusCoverQuery) -> BranchedInvariantsResult:

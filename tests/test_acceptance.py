@@ -92,7 +92,7 @@ def test_criterion_03_poincare_check():
     assert euler_number(si) == Fraction(-1, 30)
     assert h1_order(si).order == 1
     decision = decide_horizontal(si)
-    assert decision.kind == "no-horizontal"
+    assert not decision.horizontal and decision.condition is None
     # the exhaustive search bound here is max alpha = 5, on both orientations
     assert max(a for a, _ in si.fibers) == 5
     assert witness_search(reverse_orientation(si).fibers, m_max=5) is None

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from seifol import cli, foliation, presentations, seifert
 from seifol.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -16,7 +22,7 @@ class TestGoldenExamples:
     def test_classify(self, capsys):
         code, doc = run(capsys, "classify", "2", "3", "5")
         assert code == 0
-        assert doc["payload"] == {"verdict": "TotalLSpace", "reason": "exception (v)"}
+        assert doc["payload"] == {"verdict": "TotalLSpace", "reason": "finite-fundamental-group"}
 
     def test_seifert_decide(self, capsys):
         code, doc = run(capsys, "seifert", "decide", "M(-1; 1/2, 1/3, 1/8)")
@@ -176,20 +182,17 @@ class TestDecideGoldens:
                 "M(-1; 1/2, 1/2, 1/2)",
                 '{"horizontal": false, "reason": "no-horizontal-foliation", "verdict": "TotalLSpace"}',
             ),
-            (
+            (  # the verdict needs no foliation criterion: no decision fields
                 "M(-1; 2/5, 2/5)",
-                '{"horizontal": false, "inapplicable": "fewer-than-3-fibers", "reason": "lens-type", '
-                '"verdict": "TotalLSpace"}',
+                '{"reason": "lens-type", "verdict": "TotalLSpace"}',
             ),
             (
                 "M(0)",
-                '{"horizontal": false, "inapplicable": "fewer-than-3-fibers", "reason": "positive-b1", '
-                '"verdict": "Excellent"}',
+                '{"reason": "positive-b1", "verdict": "Excellent"}',
             ),
-            (  # e = 0 with three fibers: the foliation decision is still reported
+            (  # e = 0 with three fibers
                 "M(-1; 1/2, 1/4, 1/4)",
-                '{"a": 1, "condition": 2, "horizontal": true, "m": 3, "reason": "positive-b1", '
-                '"roles": [1, 0], "verdict": "Excellent"}',
+                '{"reason": "positive-b1", "verdict": "Excellent"}',
             ),
             (  # unnormalized input
                 "M(1, -1/2, -1/3, -1/5)",
@@ -213,7 +216,7 @@ class TestDecideGoldens:
         assert capsys.readouterr().out == self.CROSSCHECK
 
     def test_decide_searches_once(self, capsys, monkeypatch):
-        calls = {"witness_search": 0, "normalize": 0}
+        calls = {}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -226,8 +229,11 @@ class TestDecideGoldens:
         wrapped = counting("normalize", seifert.normalize)
         for module in (seifert, foliation, cli):
             monkeypatch.setattr(module, "normalize", wrapped)
-        assert main(["seifert", "decide", "M(-1; 1/2, 1/3, 1/8)"]) == 0
-        assert calls == {"witness_search": 1, "normalize": 1}
+        # condition 2; e = 0 with three fibers; lens type: the last two need no search
+        for form, searches in [("M(-1; 1/2, 1/3, 1/8)", 1), ("M(-1; 1/2, 1/4, 1/4)", 0), ("M(-1; 2/5, 2/5)", 0)]:
+            calls.update(witness_search=0, normalize=0)
+            assert main(["seifert", "decide", form]) == 0
+            assert calls == {"witness_search": searches, "normalize": 1}, form
 
 
 class TestErrorHandling:
@@ -260,9 +266,25 @@ class TestErrorHandling:
 
         monkeypatch.setattr(presentations, "present_two_bridge_cover", unexpected)
         monkeypatch.setitem(cli._BUILTIN_COVERS, "twobridge", (unexpected, "k l n"))
-        code, doc = run(capsys, "lo", "check", "builtin:twobridge:1,1,25")
-        assert code == 1
-        assert doc == {"status": "error", "code": "too-many-generators", "message": "25 generators exceeds cap 24"}
+        refused = {"status": "error", "code": "too-many-generators", "message": "25 generators exceeds cap 24"}
+        assert run(capsys, "lo", "check", "builtin:twobridge:1,1,25") == (1, refused)
+        assert run(capsys, "present", "twobridge", "1", "1", "25") == (1, refused)
+
+    def test_closed_pipe_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "seifol.cli", "present", "twobridge", "1", "1", "24"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.stderr == b""
+        assert result.returncode == 1
 
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,8 +1,10 @@
 import random
 from math import gcd
 
+import pytest
+
 from seifol.foliation import (
-    DECIDER_REASONS,
+    FoliationDecision,
     decide_excellence,
     decide_horizontal,
     has_witness,
@@ -12,6 +14,7 @@ from seifol.foliation import (
 from seifol.seifert import SeifertInvariants, normalize, parse_seifert, reverse_orientation
 
 M = parse_seifert
+REASONS = ("positive-b1", "horizontal-foliation", "lens-type", "no-horizontal-foliation")
 
 
 def random_normalized(rng, n_min=3, n_max=5, alpha_max=12):
@@ -29,7 +32,7 @@ def random_normalized(rng, n_min=3, n_max=5, alpha_max=12):
 class TestDecideHorizontal:
     def test_poincare_sphere_has_none(self):
         decision = decide_horizontal(M("M(-2; 1/2, 2/3, 4/5)"))
-        assert decision.kind == "no-horizontal"
+        assert decision == FoliationDecision(False)
 
     def test_torus_link_fill_witness(self):
         # first witness in (m, a, pair) order; the construction witness
@@ -51,9 +54,10 @@ class TestDecideHorizontal:
         assert decision.witness.on_reverse
 
     def test_inapplicable(self):
-        assert decide_horizontal(M("M(0)")).kind == "inapplicable"
-        assert decide_horizontal(M("M(-1; 2/5, 2/5)")).reason == "fewer-than-3-fibers"
-        assert decide_horizontal(M("M(1, -1/2, -1/3, -1/5)")).reason == "not-normalized"
+        # fewer than three fibers, or not normalized: decide_excellence's forms
+        for form in ("M(0)", "M(-1; 2/5, 2/5)", "M(1, -1/2, -1/3, -1/5)"):
+            with pytest.raises(ValueError):
+                decide_horizontal(M(form))
 
     def test_returned_witnesses_verify(self):
         rng = random.Random(31)
@@ -76,7 +80,7 @@ class TestDecideHorizontal:
             for _ in range(10):
                 rng.shuffle(fibers)
                 other = decide_horizontal(SeifertInvariants(si.b, tuple(fibers)))
-                assert other.kind == base.kind and other.condition == base.condition
+                assert other.horizontal == base.horizontal and other.condition == base.condition
 
     def test_orientation_duality(self):
         rng = random.Random(33)
@@ -121,4 +125,4 @@ class TestDecideExcellence:
         rng = random.Random(35)
         for _ in range(200):
             si = normalize(random_normalized(rng, n_min=0 if rng.random() < 0.3 else 3))
-            assert decide_excellence(si).reason in DECIDER_REASONS
+            assert decide_excellence(si).reason in REASONS

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,12 @@ class TestCableFamilies:
         report = cable_family_check(get_cable_row(label), k_lo, k_hi)
         assert report.ok
         assert len(report.checked) == k_hi - k_lo + 1
+
+    def test_failures_are_k_values(self):
+        # c235 widened past its manifest bound k <= 0 fails from k = 2 on
+        report = cable_family_check(replace(get_cable_row("c235"), k_max=4), -1, 4)
+        assert report.checked == (-1, 0, 1, 2, 3, 4)
+        assert report.failures == (2, 3, 4) and not report.ok
 
     def test_all_rows_horizontal_on_window(self):
         for row in load_cable_rows().values():

@@ -14,11 +14,10 @@ from seifol.torus_covers import (
     classify_torus_cover,
     cross_validate,
     crosscheck_sweep,
-    exception_label,
     sweep_queries,
 )
 from torus_cover_oracle import branched_invariants as oracle_invariants
-from torus_cover_oracle import divisor_invariants, four_fold_two_strand, special_table_raw
+from torus_cover_oracle import divisor_invariants, exception_label, four_fold_two_strand, special_table_raw
 
 M = parse_seifert
 
@@ -47,6 +46,22 @@ class TestClassifier:
         assert exception_label(TorusCoverQuery(2, 4, 3)) == "(iv)"
         assert exception_label(TorusCoverQuery(4, 3, 2)) == "(i)"
         assert exception_label(TorusCoverQuery(6, 2, 3)) is None
+
+    def test_matches_exception_table(self):
+        # Milnor's inequality against the published list, both p/q orders
+        checked = 0
+        for n in range(2, 41):
+            for p in range(2, 41):
+                for q in range(2, 41):
+                    if gcd(p, q) != 1:
+                        continue
+                    qr = TorusCoverQuery(n, p, q)
+                    finite = exception_label(qr) is not None
+                    verdict = classify_torus_cover(qr)
+                    assert verdict.excellent != finite, (n, p, q)
+                    assert verdict.reason == ("finite" if finite else "infinite") + "-fundamental-group"
+                    checked += 1
+        assert checked == 2 * 17550  # each unordered query in both orders
 
     def test_symmetric_in_p_q(self):
         for qr in sweep_queries(6, 6, 6):

@@ -5,6 +5,10 @@ the fourfold cover of a two-strand knot, and a table of small published
 forms -- each with its own formula.  ``seifol.torus_covers`` replaced them
 with the single Neumann--Raymond formula; this copy is kept as the reference
 that formula is compared against wherever a route applies.
+
+``exception_label`` is the published list of the covers with finite
+fundamental group, which ``seifol.torus_covers.classify_torus_cover``
+replaced with Milnor's inequality 1/n + 1/p + 1/q > 1.
 """
 
 from math import gcd
@@ -88,3 +92,19 @@ def special_table_raw(n: int, p: int, q: int) -> SeifertInvariants | None:
         (2, 3, 5): SeifertInvariants(1, ((2, -1), (3, -1), (5, -1))),
     }
     return table.get((n, lo, hi))
+
+
+def exception_label(qr: TorusCoverQuery) -> str | None:
+    pq = {qr.p, qr.q}
+    n = qr.n
+    if pq == {2, 3} and 2 <= n <= 5:
+        return "(i)"
+    if pq == {2, 5} and 2 <= n <= 3:
+        return "(ii)"
+    if 2 in pq and max(pq) >= 7 and n == 2:
+        return "(iii)"
+    if pq == {3, 4} and n == 2:
+        return "(iv)"
+    if pq == {3, 5} and n == 2:
+        return "(v)"
+    return None
