@@ -205,7 +205,6 @@ def _cmd_present(args):
     return {
         "generators": list(pres.generators),
         "relators": [str(r) for r in pres.relators],
-        "text": presentations.format_presentation(pres),
     }, None
 
 

@@ -13,17 +13,15 @@ is in (meridian, longitude) order; ``swap_basis`` converts between the two.
 Cable families: filling the branched-cover complement of the companion
 along a one-parameter family of lifted slopes yields Seifert invariants
 whose last fiber is a linear-fractional function of the parameter k.  The
-families are data, one manifest row per case and orientation variant, and
-``cable_family_check`` verifies the expected horizontal range.
+families are a table of ``CableCaseRow`` values in this module, one row per
+case and variant, and ``cable_family_check`` verifies the expected
+horizontal range.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from importlib import resources
 from math import gcd
 
 from .errors import DegenerateParameter, NotationError
@@ -175,15 +173,17 @@ class CableCaseRow:
     """One parametrized Seifert family from a satellite decomposition.
 
     The filled manifold is M(b; base fibers, f(k) repeated ``count`` times)
-    with f(k) = (num_k * k + num_c) / (den_k * k + den_c); ``reversed_``
-    asks for an orientation flip after assembly, and the family is expected
-    horizontal for k <= k_max.  Provisional rows were derived here by the
-    same procedure as the published ones but have no printed counterpart.
+    with f(k) = (num[0] * k + num[1]) / (den[0] * k + den[1]); fibers are
+    (alpha, beta) pairs.  ``reversed_`` asks for an orientation flip after
+    assembly, and the family is expected horizontal for k <= k_max.
+    Provisional rows were derived here by the same section and fiber
+    bookkeeping as the published ones, keeping both unit-pairing sign
+    choices where the orientation is undetermined, but have no printed
+    counterpart.
     """
 
     label: str
     cover: tuple[int, int, int]
-    variant: str
     count: int
     b: int
     base_fibers: tuple[tuple[int, int], ...]
@@ -194,86 +194,46 @@ class CableCaseRow:
     provisional: bool
 
 
-_LINEAR_RE = re.compile(r"^(?:(-?\d*)k)?([+-]?\d+)?$")
+# Columns: label, cover (n, p, q), count, b, base fibers, num and den of
+# f(k), reversed_, k_max, provisional.  The comment is the row's eta value
+# from its derivation.
+_CABLE_ROWS = (
+    CableCaseRow("c235", (2, 3, 5), 1, 1, ((2, -1), (5, -1)), (2, -3), (-6, 10), False, 0, False),  # eta = -3
+    CableCaseRow("c253", (2, 5, 3), 1, 1, ((2, -1), (3, -1)), (2, -1), (-10, 6), False, 0, False),  # eta = -1
+    CableCaseRow("c325a", (3, 2, 5), 1, 1, ((3, -1), (5, -1)), (3, -7), (-6, 15), False, 0, False),  # eta = -7
+    CableCaseRow("c325b", (3, 2, 5), 1, 1, ((3, -1), (5, -1)), (-3, -8), (6, 15), False, -3, False),  # eta = -8
+    CableCaseRow("c243a", (2, 4, 3), 1, 0, ((3, -1), (3, -1)), (2, 1), (4, 3), False, -2, False),  # eta = 1
+    CableCaseRow("c243b", (2, 4, 3), 1, 0, ((3, -1), (3, -1)), (2, -2), (4, -3), False, 0, False),  # eta = 2
+    CableCaseRow("c332a", (3, 3, 2), 1, 0, ((2, -1), (2, -1), (2, -1)), (3, 1), (3, 2), False, -2, False),  # eta = 1
+    CableCaseRow("c332b", (3, 3, 2), 1, 0, ((2, -1), (2, -1), (2, -1)), (-3, 3), (-3, 2), False, 0, False),  # eta = 3
+    CableCaseRow("c423a", (4, 2, 3), 1, 0, ((2, -1), (3, -1), (3, -1)), (4, 5), (4, 6), False, -2, False),  # eta = 5
+    CableCaseRow("c423b", (4, 2, 3), 1, 0, ((2, -1), (3, -1), (3, -1)), (-4, 7), (-4, 6), False, 0, False),  # eta = 7
+    CableCaseRow("c22q3a", (2, 2, 3), 1, 0, ((3, 1), (3, 1)), (2, -2), (-2, 3), False, 0, False),  # eta = -2
+    CableCaseRow("c22q3b", (2, 2, 3), 1, 0, ((3, 1), (3, 1)), (-2, -4), (2, 3), False, -3, False),  # eta = -4
+    CableCaseRow("c22q5a", (2, 2, 5), 1, 0, ((5, 2), (5, 2)), (2, -4), (-2, 5), False, 0, False),  # eta = -4
+    CableCaseRow("c22q5b", (2, 2, 5), 1, 0, ((5, 2), (5, 2)), (-2, -6), (2, 5), False, -4, False),  # eta = -6
+    CableCaseRow("c234", (2, 3, 4), 2, 0, ((2, 1),), (1, -1), (-3, 4), False, 0, False),  # eta = -1
+    CableCaseRow("c432", (4, 3, 2), 2, 1, ((2, -1),), (2, -1), (-6, 4), False, 0, False),  # eta = -1
+    CableCaseRow("c323a", (3, 2, 3), 3, 1, (), (1, -1), (-2, 3), False, 0, False),  # eta = -1
+    CableCaseRow("c323b", (3, 2, 3), 3, 1, (), (-1, -2), (2, 3), False, -3, False),  # eta = -2
+    CableCaseRow("c352", (3, 5, 2), 1, -2, ((2, 1), (3, 2)), (-12, 5), (-15, 6), False, 0, True),  # eta = 5
+    CableCaseRow("c523a", (5, 2, 3), 1, -2, ((3, 2), (5, 4)), (5, 7), (10, 15), False, -2, True),  # eta = 7
+    CableCaseRow("c523b", (5, 2, 3), 1, -2, ((3, 2), (5, 4)), (-5, 8), (-10, 15), False, 0, True),  # eta = 8
+    CableCaseRow("c532", (5, 3, 2), 1, -2, ((2, 1), (5, 4)), (-10, 7), (-15, 10), False, 0, True),  # eta = 7
+)
+_CABLE_ROW_BY_LABEL = {row.label: row for row in _CABLE_ROWS}
 
 
-def parse_linear(text: str) -> tuple[int, int]:
-    """Parse a linear polynomial in k, e.g. '2k-3', '-k+4', 'k', '7'."""
-    s = text.strip().replace(" ", "")
-    m = _LINEAR_RE.match(s)
-    if not m or (m.group(1) is None and m.group(2) is None):
-        raise NotationError(f"bad linear polynomial {text!r}")
-    coeff_txt, const_txt = m.groups()
-    if coeff_txt is None:
-        coeff = 0
-    elif coeff_txt == "":
-        coeff = 1
-    elif coeff_txt == "-":
-        coeff = -1
-    else:
-        coeff = int(coeff_txt)
-    const = int(const_txt) if const_txt else 0
-    return coeff, const
-
-
-def _parse_row(line: str) -> CableCaseRow:
-    parts = [p.strip() for p in line.split("|")]
-    if len(parts) != 10:
-        raise NotationError(f"manifest row needs 10 fields, got {len(parts)}: {line!r}")
-    label, cover_s, variant, count_s, b_s, base_s, fiber_s, orient, pred_s, status = parts
-    cover = tuple(int(x) for x in cover_s.split(","))
-    if len(cover) != 3:
-        raise NotationError(f"bad cover triple {cover_s!r}")
-    base = []
-    if base_s != "-":
-        for tok in base_s.split(","):
-            num, den = tok.split("/")
-            base.append((int(den), int(num)))
-    fm = re.match(r"^\((.+)\)/\((.+)\)$", fiber_s)
-    if not fm:
-        raise NotationError(f"bad fiber fraction {fiber_s!r}")
-    pm = re.match(r"^k<=(-?\d+)$", pred_s)
-    if not pm:
-        raise NotationError(f"bad range predicate {pred_s!r}")
-    if orient not in ("+", "-"):
-        raise NotationError(f"bad orientation flag {orient!r}")
-    if status not in ("displayed", "provisional"):
-        raise NotationError(f"bad status {status!r}")
-    return CableCaseRow(
-        label=label,
-        cover=cover,  # type: ignore[arg-type]
-        variant=variant,
-        count=int(count_s),
-        b=int(b_s),
-        base_fibers=tuple(base),
-        num=parse_linear(fm.group(1)),
-        den=parse_linear(fm.group(2)),
-        reversed_=orient == "-",
-        k_max=int(pm.group(1)),
-        provisional=status == "provisional",
-    )
-
-
-@lru_cache(maxsize=1)
 def load_cable_rows() -> dict[str, CableCaseRow]:
-    text = resources.files("seifol").joinpath("data/cable_families.txt").read_text()
-    rows: dict[str, CableCaseRow] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        row = _parse_row(line)
-        if row.label in rows:
-            raise NotationError(f"duplicate manifest label {row.label!r}")
-        rows[row.label] = row
-    return rows
+    """Every cable family by label, in table order."""
+    return dict(_CABLE_ROW_BY_LABEL)
 
 
 def get_cable_row(label: str) -> CableCaseRow:
-    rows = load_cable_rows()
-    if label not in rows:
-        raise NotationError(f"unknown cable case {label!r}; known: {', '.join(sorted(rows))}")
-    return rows[label]
+    if label not in _CABLE_ROW_BY_LABEL:
+        known = ", ".join(sorted(_CABLE_ROW_BY_LABEL))
+        raise NotationError(f"unknown cable case {label!r}; known: {known}")
+    return _CABLE_ROW_BY_LABEL[label]
 
 
 def cable_family_fiber(row: CableCaseRow, k: int) -> Fraction:

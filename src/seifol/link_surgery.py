@@ -6,9 +6,9 @@ filled along one slope per component.  In the meridian-fiber basis the
 fiber slope is excluded; every other multislope yields a Seifert manifold
 over the two-sphere whose invariants are written down directly.
 
-Slopes are primitive integer pairs ``(a, c)`` read against a named basis;
-``a/c``-notation puts the meridian coefficient first.  The longitude and
-fiber differ by ``fiber = longitude + rs * meridian``.
+Slopes are primitive integer pairs ``(a, c)`` in the meridian-longitude
+basis; ``a/c``-notation puts the meridian coefficient first.  The longitude
+and fiber differ by ``fiber = longitude + rs * meridian``.
 """
 
 from __future__ import annotations
@@ -21,24 +21,16 @@ from .errors import FiberSlopeFilling, NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
 from .seifert import SeifertInvariants, normalize, reverse_orientation, torus_fiber_betas
 
-MERIDIAN_LONGITUDE = "meridian-longitude"
-MERIDIAN_FIBER = "meridian-fiber"
-_BASES = (MERIDIAN_LONGITUDE, MERIDIAN_FIBER)
-
-
 @dataclass(frozen=True)
 class Slope:
     a: int
     c: int
-    basis: str = MERIDIAN_LONGITUDE
 
     def __post_init__(self):
         if (self.a, self.c) == (0, 0):
             raise ValueError("slope cannot be zero")
         if gcd(abs(self.a), abs(self.c)) != 1:
             raise ValueError(f"slope ({self.a}, {self.c}) is not primitive")
-        if self.basis not in _BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
 
     def __str__(self) -> str:
         return f"{self.a}/{self.c}"
@@ -80,12 +72,10 @@ class TorusLinkExterior:
             raise ValueError("r = s = 1 requires at least 3 components")
 
 
-def ml_to_mf(sl: Slope, r: int, s: int) -> Slope:
-    """Rewrite a meridian-longitude slope in the meridian-fiber basis:
-    a*mu + c*lambda = (a - c*r*s)*mu + c*phi."""
-    if sl.basis != MERIDIAN_LONGITUDE:
-        raise ValueError(f"expected a meridian-longitude slope, got basis {sl.basis!r}")
-    return Slope(sl.a - sl.c * r * s, sl.c, MERIDIAN_FIBER)
+def ml_to_mf(sl: Slope, r: int, s: int) -> tuple[int, int]:
+    """Coefficients of a meridian-longitude slope in the meridian-fiber
+    basis: a*mu + c*lambda = (a - c*r*s)*mu + c*phi."""
+    return sl.a - sl.c * r * s, sl.c
 
 
 def base_fibers(ext: TorusLinkExterior) -> tuple[tuple[int, int], ...]:
@@ -110,17 +100,14 @@ def fill(ext: TorusLinkExterior, slopes, mirror: bool = False) -> SeifertInvaria
     if len(slopes) != ext.d:
         raise ValueError(f"expected {ext.d} slopes, got {len(slopes)}")
     if mirror:
-        flipped = tuple(Slope(-sl.a, sl.c, sl.basis) for sl in slopes)
+        flipped = tuple(Slope(-sl.a, sl.c) for sl in slopes)
         return normalize(reverse_orientation(fill(ext, flipped)))
-    rs = ext.r * ext.s
     filled = []
     for sl in slopes:
-        if sl.basis != MERIDIAN_LONGITUDE:
-            raise ValueError("fill expects meridian-longitude slopes")
-        am = sl.a - sl.c * rs
+        am, c = ml_to_mf(sl, ext.r, ext.s)
         if am == 0:
             raise FiberSlopeFilling(f"slope {sl} is the fiber slope of T({ext.d * ext.r},{ext.d * ext.s})")
-        frac = Fraction(-sl.c, am)
+        frac = Fraction(-c, am)
         filled.append((frac.denominator, frac.numerator))
     return normalize(SeifertInvariants(-1, base_fibers(ext) + tuple(filled)))
 

@@ -297,11 +297,3 @@ def parse_presentation(text: str) -> GroupPresentation:
         return GroupPresentation(gens, tuple(relators))
     except ValueError as exc:
         raise NotationError(str(exc)) from exc
-
-
-def format_presentation(pres: GroupPresentation) -> str:
-    parts = ["gens: " + " ".join(pres.generators)]
-    for rel in pres.relators:
-        body = " ".join(g if e == 1 else f"{g}^{e}" for g, e in rel.letters)
-        parts.append("rel: " + body)
-    return "; ".join(parts)

@@ -1,8 +1,8 @@
 """Exact rational numbers and continued-fraction conversion.
 
 All arithmetic in this package is exact; floating point is never used.
-``Rational`` is the stdlib ``fractions.Fraction``, re-exported so every
-other module has a single import point for the scalar type.
+``Rational`` is an alias of the stdlib ``fractions.Fraction``, exported as
+``seifol.Rational``; the other modules use ``Fraction`` directly.
 
 Continued fractions follow the convention
 

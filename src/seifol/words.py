@@ -51,14 +51,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "Word":
-        if not isinstance(n, int):
-            raise TypeError("word powers must be integers")
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        return Word(base.letters * abs(n))
-
     def generators(self) -> set:
         return {g for g, _ in self.letters}
 
@@ -72,22 +64,6 @@ class Word:
         if not self.letters:
             return "1"
         return " ".join(g if e == 1 else f"{g}^{e}" for g, e in self.letters)
-
-
-def word_power_product(factors) -> Word:
-    """Expand a product of powers of subwords into a single word.
-
-    ``factors`` is a sequence of (subword, power) pairs, where a subword is
-    a Word or an iterable of letters.  Zero powers are rejected: an empty
-    factor in a template is almost always a transcription mistake.
-    """
-    out = Word()
-    for sub, power in factors:
-        if power == 0:
-            raise ZeroExponent("zero power in word template")
-        w = sub if isinstance(sub, Word) else Word(tuple(sub))
-        out = out * w**power
-    return out
 
 
 def free_reduce(w: Word) -> Word:

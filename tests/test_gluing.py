@@ -21,7 +21,6 @@ from seifol.gluing import (
     fixed_unit_fraction_slopes,
     get_cable_row,
     load_cable_rows,
-    parse_linear,
     reduce_slope,
     swap_basis,
     whitehead_composition_factors,
@@ -196,6 +195,13 @@ class TestCableFamilies:
             ("c432", 0, "M(-2; 1/2, 3/4, 3/4)"),
             ("c323a", 0, "M(-2; 2/3, 2/3, 2/3)"),
             ("c22q5a", 0, "M(-1; 1/5, 2/5, 2/5)"),
+            ("c22q3b", -3, "M(-1; 1/3, 1/3, 1/3)"),
+            ("c22q5b", -4, "M(-1; 1/3, 2/5, 2/5)"),
+            ("c323b", -3, "M(-2; 2/3, 2/3, 2/3)"),
+            ("c352", 0, "M(-2; 1/2, 2/3, 5/6)"),
+            ("c523a", -2, "M(-2; 2/3, 3/5, 4/5)"),
+            ("c523b", 0, "M(-2; 2/3, 4/5, 8/15)"),
+            ("c532", 0, "M(-2; 1/2, 4/5, 7/10)"),
         ],
     )
     def test_family_goldens(self, label, k, expected):
@@ -229,16 +235,3 @@ class TestCableFamilies:
         # c243b at k = 1 has fiber 0/1, collapsing to two exceptional fibers
         with pytest.raises(DegenerateParameter):
             cable_family_invariants(get_cable_row("c243b"), 1)
-
-
-def test_linear_parser_round_trip():
-    for text, pair in [
-        ("2k-3", (2, -3)),
-        ("-6k+10", (-6, 10)),
-        ("k", (1, 0)),
-        ("-k-2", (-1, -2)),
-        ("7", (0, 7)),
-    ]:
-        assert parse_linear(text) == pair
-    with pytest.raises(NotationError):
-        parse_linear("2x+1")

@@ -1,13 +1,14 @@
+import json
 import random
 from itertools import product
 
 import pytest
 
+from seifol.cli import main
 from seifol.errors import IndivisibleSurgery, TooManyGenerators
 from seifol.presentations import (
     GroupPresentation,
     coarse_obstruction,
-    format_presentation,
     parse_presentation,
     present_pretzel_cover,
     present_two_bridge_cover,
@@ -279,7 +280,7 @@ class TestObstructionAgainstOracle:
         for _ in range(1200):
             pres = random_presentation(rng)
             expected = brute_force_obstruction(pres)
-            assert report_fields(coarse_obstruction(pres)) == expected, format_presentation(pres)
+            assert report_fields(coarse_obstruction(pres)) == expected, pres
             seen["no generators"] += not pres.generators
             seen["obstructed" if expected[0] else "unobstructed"] += 1
             for rel in pres.relators:
@@ -318,11 +319,17 @@ class TestPretzelSurgery:
             pretzel_surgery_description(3, 2, 1, "+")
 
 
-def test_presentation_text_round_trip():
-    pres = present_two_bridge_cover(2, 1, 3)
-    text = format_presentation(pres)
-    back = parse_presentation(text)
-    assert back == pres
+def test_presentation_text_round_trip(capsys):
+    # the generators and relators that `present` prints are the file syntax
+    for family, params, pres in [
+        ("twobridge", (2, 1, 3), present_two_bridge_cover(2, 1, 3)),
+        ("pretzel", (1, 2, 3), present_pretzel_cover(1, 2, 3)),
+    ]:
+        assert main(["present", family, *map(str, params)]) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["relators"] == [str(rel) for rel in pres.relators]
+        text = "; ".join(["gens: " + " ".join(payload["generators"])] + ["rel: " + r for r in payload["relators"]])
+        assert parse_presentation(text) == pres
     assert parse_presentation("gens: a b; rel: a^-1 b^2").relators[0].letters == (
         ("a", -1),
         ("b", 2),

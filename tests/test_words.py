@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seifol.errors import ZeroExponent
-from seifol.words import Word, free_reduce, word_power_product
+from seifol.words import Word, free_reduce
 
 letters = st.lists(
     st.tuples(st.sampled_from("xyz"), st.integers(-4, 4).filter(bool)), max_size=20
@@ -26,25 +26,6 @@ def test_construction_drops_cancelling_run_without_cascading():
 def test_zero_exponent_letters_rejected():
     with pytest.raises(ZeroExponent):
         Word([("x", 0)])
-
-
-class TestPowerProduct:
-    def test_conjugate_square(self):
-        w = word_power_product([(Word([("x", 1), ("y", -1)]), 2), (Word([("x", 1)]), 1)])
-        assert w.letters == (("x", 1), ("y", -1), ("x", 1), ("y", -1), ("x", 1))
-
-    def test_zero_power_rejected(self):
-        with pytest.raises(ZeroExponent):
-            word_power_product([(Word([("u", 1)]), 0)])
-
-    def test_negative_exponent_base(self):
-        # (a^-k b^k)^l at k = l = 1
-        w = word_power_product([([("a", -1), ("b", 1)], 1)])
-        assert w.letters == (("a", -1), ("b", 1))
-
-    def test_negative_power_inverts(self):
-        w = word_power_product([(Word([("x", 1), ("y", 1)]), -2)])
-        assert w.letters == (("y", -1), ("x", -1), ("y", -1), ("x", -1))
 
 
 class TestFreeReduce:
