@@ -7,11 +7,18 @@ Every subcommand prints a single JSON document on standard output:
 Exit codes: 0 for success, 1 for a domain error (reported as a JSON error
 document with a stable code), 2 for a usage error.  ``--pretty`` indents
 the output; there is no color and no environment configuration.
+
+``main(argv)`` may be called many times in one process: it returns the exit
+code, and a usage error raises ``SystemExit(2)``.  The parser is built once
+per process, on the first call.  ``cable check`` windows and ``crosscheck``
+sweeps are capped (``CABLE_WINDOW_CAP``, ``SWEEP_CAP``) and refused with a
+``domain-error`` above the cap, so no call runs unbounded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,6 +37,12 @@ from .seifert import (
 )
 
 SCHEMA = "seifol/1"
+# Largest ``cable check`` window, counted over the k values actually checked,
+# and largest bound of a ``crosscheck`` sweep.  At either cap a call takes
+# under half a second (Python 3.11, 2-CPU x86_64); the library functions
+# themselves are not capped.
+CABLE_WINDOW_CAP = 1000
+SWEEP_CAP = 30
 
 
 def _seifert_payload(si: SeifertInvariants) -> dict:
@@ -108,6 +121,9 @@ def _cmd_invariants(args):
 
 def _cmd_crosscheck(args):
     n_max, p_max, q_max = args.sweep
+    bound = max(args.sweep)
+    if bound > SWEEP_CAP:
+        raise SeifolError(f"sweep bound {bound} exceeds cap {SWEEP_CAP}")
     report = torus_covers.crosscheck_sweep(n_max, p_max, q_max)
     report["total_l_spaces"] = [list(t) for t in report["total_l_spaces"]]
     return report, None
@@ -173,6 +189,9 @@ def _cmd_cable_family(args):
 
 def _cmd_cable_check(args):
     row = gluing.get_cable_row(args.case)
+    width = min(args.kmax, row.k_max) - args.kmin + 1
+    if width > CABLE_WINDOW_CAP:
+        raise SeifolError(f"window of {width} values exceeds cap {CABLE_WINDOW_CAP}")
     report = gluing.cable_family_check(row, args.kmin, args.kmax)
     return {
         "checked": list(report.checked),
@@ -243,6 +262,7 @@ def _cmd_pretzel_surgery(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; ``main`` shares one (see ``_parser``)."""
     # --pretty is accepted both before and after the subcommand; SUPPRESS on
     # the per-command copy keeps it from clobbering the top-level value.
     common = argparse.ArgumentParser(add_help=False)
@@ -353,9 +373,19 @@ def _emit(document: dict, pretty: bool) -> None:
     sys.stdout.write(json.dumps(document, indent=2 if pretty else None, sort_keys=True) + "\n")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and then shared by every
+    call in the process.  Sharing is safe because ``parse_args`` returns a
+    new namespace and leaves the parser as it was.  Handlers are bound by
+    ``set_defaults`` when the parser is built, so a ``_cmd_*`` function
+    replaced after the first call is not seen; call ``_parser.cache_clear()``
+    after replacing one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, provenance = args.handler(args)
     except SeifolError as exc:

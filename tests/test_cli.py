@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from seifol import cli, foliation, presentations, seifert
+from seifol import cli, foliation, gluing, presentations, seifert, torus_covers
 from seifol.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -270,6 +270,43 @@ class TestErrorHandling:
         assert run(capsys, "lo", "check", "builtin:twobridge:1,1,25") == (1, refused)
         assert run(capsys, "present", "twobridge", "1", "1", "25") == (1, refused)
 
+    def test_cable_window_cap_refused_before_checking(self, capsys, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("cable window checked beyond the cap")
+
+        cap = cli.CABLE_WINDOW_CAP
+        with monkeypatch.context() as patched:
+            patched.setattr(gluing, "cable_family_check", unexpected)
+            # c235 has k_max = 0, so the checked window is [kmin, 0] however large kmax is
+            for kmin, kmax in [(-cap, 0), (-cap, 10**9), (-(10**9), 0)]:
+                refused = {
+                    "status": "error",
+                    "code": "domain-error",
+                    "message": f"window of {1 - kmin} values exceeds cap {cap}",
+                }
+                assert run(capsys, "cable", "check", "c235", str(kmin), str(kmax)) == (1, refused)
+        code, doc = run(capsys, "cable", "check", "c235", str(1 - cap), "500")
+        assert code == 0 and doc["payload"]["ok"] is True
+        assert doc["payload"]["checked"] == list(range(1 - cap, 1))
+
+    def test_sweep_cap_refused_before_sweeping(self, capsys, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("sweep run beyond the cap")
+
+        cap = cli.SWEEP_CAP
+        with monkeypatch.context() as patched:
+            patched.setattr(torus_covers, "crosscheck_sweep", unexpected)
+            for sweep in [(cap + 1, 2, 3), (2, cap + 1, 3), (2, 3, 10**9)]:
+                refused = {
+                    "status": "error",
+                    "code": "domain-error",
+                    "message": f"sweep bound {max(sweep)} exceeds cap {cap}",
+                }
+                assert run(capsys, "crosscheck", "--sweep", *map(str, sweep)) == (1, refused)
+        code, doc = run(capsys, "crosscheck", "--sweep", str(cap), str(cap), str(cap))
+        assert code == 0 and doc["payload"]["inconsistencies"] == []
+        assert doc["payload"]["queries"] == sum(1 for _ in torus_covers.sweep_queries(cap, cap, cap))
+
     def test_closed_pipe_exits_quietly(self):
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before anything is written
@@ -290,3 +327,66 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
         assert err.value.code == 2
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and shares it."""
+
+    ARGVS = [
+        ["classify", "2", "3", "5"],
+        ["--pretty", "classify", "2", "3", "5"],
+        ["classify", "2", "3", "5", "--pretty"],
+        ["cf", "eval", "[2,-2]"],
+        ["--pretty", "cf", "expand", "--policy", "even-terms", "3/2"],
+        ["cf", "expand", "19/3"],
+        ["seifert", "decide", "M(-1; 1/2, 1/3, 1/8)", "--pretty"],
+        ["seifert", "h1", "M(-1; 2/5, 2/5)"],
+        ["seifert", "euler", "M(2/4)"],  # notation error
+        ["surgery", "1", "2", "3", "6/1"],  # domain error
+        ["surgery", "--mirror", "1", "2", "3", "--", "-2/1"],
+        ["crosscheck", "--sweep", "4", "4", "4"],
+        ["cable", "check", "c235", "-3", "0"],
+        ["present", "twobridge", "1", "1", "4"],
+        ["lo", "check", "builtin:pretzel:1,1,1"],
+        ["classify", "2", "3"],  # usage error
+        ["frobnicate"],  # usage error
+        ["slope", "fixed", "1,0,0,1"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_built_once(self, capsys, monkeypatch):
+        build, calls = cli.build_parser, []
+
+        def counting():
+            calls.append(None)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for i in range(20):
+            assert main(["classify", str(2 + i), "3", "5"]) == 0
+        capsys.readouterr()
+        cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_shared_parser_answers_as_a_fresh_one(self, capsys):
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        cli._parser.cache_clear()
+        for _ in range(2):
+            assert [self.outcome(capsys, argv) for argv in self.ARGVS] == fresh
+        assert cli.build_parser() is not cli.build_parser()
+        codes = [code for code, _, _ in fresh]
+        assert codes.count(2) == 2 and codes.count(1) == 2 and codes.count(0) == len(self.ARGVS) - 4
+        usage = fresh[self.ARGVS.index(["frobnicate"])]
+        assert usage[1] == "" and usage[2].startswith("usage: seifol")
