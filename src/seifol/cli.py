@@ -2,17 +2,20 @@
 
 Every subcommand prints a single JSON document on standard output:
 
-    {"status": "ok", "schema": "seifol/1", "payload": {...}, "provenance": ...}
+    {"status": "ok", "schema": "seifol/1", "payload": {...}}
 
-Exit codes: 0 for success, 1 for a domain error (reported as a JSON error
-document with a stable code), 2 for a usage error.  ``--pretty`` indents
-the output; there is no color and no environment configuration.
+Exit codes: 0 for success, 1 for a domain error, reported as the JSON error
+document ``{"status": "error", "code": ..., "message": ...}`` with a stable
+code, and 2 for a usage error.  A payload that cannot be written as JSON
+(an integer too long to print) is a ``domain-error`` too.  ``--pretty``
+indents the output; there is no color and no environment configuration.
 
 ``main(argv)`` may be called many times in one process: it returns the exit
 code, and a usage error raises ``SystemExit(2)``.  The parser is built once
-per process, on the first call.  ``cable check`` windows and ``crosscheck``
-sweeps are capped (``CABLE_WINDOW_CAP``, ``SWEEP_CAP``) and refused with a
-``domain-error`` above the cap, so no call runs unbounded.
+per process, on the first call.  Every input that grows the work is capped
+(``CABLE_WINDOW_CAP``, ``SWEEP_CAP``, ``BUILTIN_PARAMETER_CAP``,
+``STRAND_CAP``, ``FIBER_CAP``) and refused with a ``domain-error`` above the
+cap, before any work is done, so no call runs unbounded.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import functools
 import json
 import os
 import sys
+from math import gcd
 
 from . import gluing, link_surgery, presentations, rationals, torus_covers
 from .errors import NotationError, SeifolError, TooManyGenerators
@@ -38,11 +42,16 @@ from .seifert import (
 
 SCHEMA = "seifol/1"
 # Largest ``cable check`` window, counted over the k values actually checked,
-# and largest bound of a ``crosscheck`` sweep.  At either cap a call takes
-# under half a second (Python 3.11, 2-CPU x86_64); the library functions
+# largest bound of a ``crosscheck`` sweep, largest parameter of a builtin
+# presentation, largest ``pretzel-surgery`` strand count, and largest
+# ``invariants`` fiber count 1 + gcd(n, p) + gcd(n, q).  At every cap a call
+# takes under a second (Python 3.11, 2-CPU x86_64); the library functions
 # themselves are not capped.
 CABLE_WINDOW_CAP = 1000
 SWEEP_CAP = 30
+BUILTIN_PARAMETER_CAP = 1000
+STRAND_CAP = 1000
+FIBER_CAP = 2000
 
 
 def _seifert_payload(si: SeifertInvariants) -> dict:
@@ -61,7 +70,7 @@ def _decision_payload(decision: FoliationDecision) -> dict:
         w = decision.witness
         out["m"] = w.m
         out["a"] = w.a
-        out["roles"] = list(w.roles)
+        out["roles"] = w.roles
         if w.on_reverse:
             out["on_reverse"] = True
     return out
@@ -69,54 +78,57 @@ def _decision_payload(decision: FoliationDecision) -> dict:
 
 def _cmd_cf_eval(args):
     cf = rationals.parse_continued_fraction(args.cf)
-    return {"value": str(rationals.cf_eval(cf))}, None
+    return {"value": str(rationals.cf_eval(cf))}
 
 
 def _cmd_cf_expand(args):
     r = rationals.parse_rational(args.value)
     cf = rationals.cf_expand(r, args.policy)
-    return {"terms": list(cf.terms), "notation": str(cf)}, None
+    return {"terms": cf.terms, "notation": str(cf)}
 
 
 def _cmd_seifert(args):
     si = parse_seifert(args.form)
     op = args.op
     if op == "normalize":
-        return _seifert_payload(normalize(si)), None
+        return _seifert_payload(normalize(si))
     if op == "reverse":
-        return _seifert_payload(reverse_orientation(si)), None
+        return _seifert_payload(reverse_orientation(si))
     if op == "euler":
-        return {"euler": str(euler_number(si))}, None
+        return {"euler": str(euler_number(si))}
     if op == "h1":
         h = h1_order(si)
-        return {"order": h.order, "finite": h.is_finite}, None
+        return {"order": h.order, "finite": h.is_finite}
     if op == "decide":
         verdict = decide_excellence(si)
         payload = _decision_payload(verdict.decision) if verdict.decision else {}
         payload["verdict"] = verdict.kind
         payload["reason"] = verdict.reason
-        return payload, None
+        return payload
     raise AssertionError(op)
 
 
 def _cmd_classify(args):
     qr = torus_covers.parse_query(args.n, args.p, args.q)
     verdict = torus_covers.classify_torus_cover(qr)
-    return {"verdict": verdict.kind, "reason": verdict.reason}, None
+    return {"verdict": verdict.kind, "reason": verdict.reason}
 
 
 def _cmd_invariants(args):
     qr = torus_covers.parse_query(args.n, args.p, args.q)
+    fibers = 1 + gcd(qr.n, qr.p) + gcd(qr.n, qr.q)
+    if fibers > FIBER_CAP:
+        raise SeifolError(f"{fibers} fibers exceeds cap {FIBER_CAP}")
     result = torus_covers.branched_invariants(qr)
     if not result.known:
-        return {"known": False, "source": None}, None
+        return {"known": False, "source": None}
     si = result.invariants
     payload = _seifert_payload(si)
     payload["known"] = True
     payload["source"] = result.source
     payload["euler"] = str(euler_number(si))
     payload["h1"] = h1_order(si).order
-    return payload, result.source
+    return payload
 
 
 def _cmd_crosscheck(args):
@@ -124,9 +136,7 @@ def _cmd_crosscheck(args):
     bound = max(args.sweep)
     if bound > SWEEP_CAP:
         raise SeifolError(f"sweep bound {bound} exceeds cap {SWEEP_CAP}")
-    report = torus_covers.crosscheck_sweep(n_max, p_max, q_max)
-    report["total_l_spaces"] = [list(t) for t in report["total_l_spaces"]]
-    return report, None
+    return torus_covers.crosscheck_sweep(n_max, p_max, q_max)
 
 
 def _cmd_surgery(args):
@@ -137,7 +147,7 @@ def _cmd_surgery(args):
     verdict = decide_excellence(si)
     payload["verdict"] = verdict.kind
     payload["reason"] = verdict.reason
-    return payload, None
+    return payload
 
 
 def _parse_matrix(text: str) -> gluing.SlopeMap:
@@ -154,29 +164,25 @@ def _parse_matrix(text: str) -> gluing.SlopeMap:
         raise NotationError(str(exc)) from exc
 
 
-def _matrix_payload(f: gluing.SlopeMap) -> list[list[int]]:
-    return [list(r) for r in f.rows]
-
-
 def _cmd_slope_apply(args):
     f = _parse_matrix(args.matrix)
     sl = link_surgery.parse_slope(args.slope)
     a, c = gluing.apply_slope_map(f, (sl.a, sl.c))
-    return {"slope": f"{a}/{c}", "a": a, "c": c}, None
+    return {"slope": f"{a}/{c}", "a": a, "c": c}
 
 
 def _cmd_slope_compose(args):
     maps = [_parse_matrix(m) for m in args.matrices]
     f = gluing.compose_slope_maps(maps)
-    return {"matrix": _matrix_payload(f), "det": f.det}, None
+    return {"matrix": f.rows, "det": f.det}
 
 
 def _cmd_slope_fixed(args):
     f = _parse_matrix(args.matrix)
     fixed = gluing.fixed_unit_fraction_slopes(f)
     if isinstance(fixed, gluing.AllIntegers):
-        return {"fixed": "all"}, None
-    return {"fixed": sorted(fixed)}, None
+        return {"fixed": "all"}
+    return {"fixed": sorted(fixed)}
 
 
 def _cmd_cable_family(args):
@@ -184,7 +190,7 @@ def _cmd_cable_family(args):
     si = gluing.cable_family_invariants(row, args.k)
     payload = _seifert_payload(si)
     payload["decision"] = _decision_payload(decide_horizontal(si))
-    return payload, row.label
+    return payload
 
 
 def _cmd_cable_check(args):
@@ -193,11 +199,7 @@ def _cmd_cable_check(args):
     if width > CABLE_WINDOW_CAP:
         raise SeifolError(f"window of {width} values exceeds cap {CABLE_WINDOW_CAP}")
     report = gluing.cable_family_check(row, args.kmin, args.kmax)
-    return {
-        "checked": list(report.checked),
-        "failures": list(report.failures),
-        "ok": report.ok,
-    }, row.label
+    return {"checked": report.checked, "failures": report.failures, "ok": report.ok}
 
 
 _BUILTIN_COVERS = {
@@ -216,15 +218,15 @@ def _builtin_cover(family: str, params) -> presentations.GroupPresentation:
     if family == "twobridge" and params[2] > cap:
         # n is the generator count; refuse before building n relators
         raise TooManyGenerators(f"{params[2]} generators exceeds cap {cap}")
+    largest = max(params)
+    if largest > BUILTIN_PARAMETER_CAP:
+        raise SeifolError(f"{family} parameter {largest} exceeds cap {BUILTIN_PARAMETER_CAP}")
     return build(*params)
 
 
 def _cmd_present(args):
     pres = _builtin_cover(args.family, args.params)
-    return {
-        "generators": list(pres.generators),
-        "relators": [str(r) for r in pres.relators],
-    }, None
+    return {"generators": pres.generators, "relators": [str(r) for r in pres.relators]}
 
 
 def _load_presentation(source: str) -> presentations.GroupPresentation:
@@ -249,16 +251,18 @@ def _cmd_lo_check(args):
         "assignments_checked": report.assignments_checked,
         "survivors": ["".join(s) for s in report.survivors],
         "nontriviality_assumed": report.nontriviality_assumed,
-    }, None
+    }
 
 
 def _cmd_pretzel_surgery(args):
+    if args.n > STRAND_CAP:
+        raise SeifolError(f"{args.n} strands exceeds cap {STRAND_CAP}")
     desc = presentations.pretzel_surgery_description(args.n, args.k, args.l, args.sign)
     return {
-        "strands": list(desc.strands),
+        "strands": desc.strands,
         "coefficient": str(desc.coefficient),
         "orientation_reversed": desc.orientation_reversed,
-    }, None
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(document: dict, pretty: bool) -> None:
-    sys.stdout.write(json.dumps(document, indent=2 if pretty else None, sort_keys=True) + "\n")
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` uses, built on first use and then shared by every
@@ -386,18 +386,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    indent = 2 if args.pretty else None
+    # serializing inside the try makes a payload json cannot write (an
+    # integer past the int-to-str digit limit) an error document too
     try:
-        payload, provenance = args.handler(args)
-    except SeifolError as exc:
-        document, code = {"status": "error", "code": exc.code, "message": str(exc)}, 1
-    except (ValueError, OSError) as exc:
-        document, code = {"status": "error", "code": "domain-error", "message": str(exc)}, 1
-    else:
-        document, code = {"status": "ok", "schema": SCHEMA, "payload": payload}, 0
-        if provenance is not None:
-            document["provenance"] = provenance
+        document = {"status": "ok", "schema": SCHEMA, "payload": args.handler(args)}
+        text, code = json.dumps(document, indent=indent, sort_keys=True), 0
+    except (SeifolError, ValueError, OSError) as exc:
+        error = exc.code if isinstance(exc, SeifolError) else "domain-error"
+        document = {"status": "error", "code": error, "message": str(exc)}
+        text, code = json.dumps(document, indent=indent, sort_keys=True), 1
     try:
-        _emit(document, args.pretty)
+        sys.stdout.write(text + "\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone; devnull keeps the flush at exit quiet (Python docs recipe)

@@ -265,7 +265,6 @@ def cable_family_invariants(row: CableCaseRow, k: int) -> SeifertInvariants:
 
 @dataclass(frozen=True)
 class CableCheckReport:
-    label: str
     checked: tuple[int, ...]
     failures: tuple[int, ...]
 
@@ -281,4 +280,4 @@ def cable_family_check(row: CableCaseRow, k_min: int, k_max: int) -> CableCheckR
     failures = tuple(
         k for k in checked if not decide_horizontal(cable_family_invariants(row, k)).horizontal
     )
-    return CableCheckReport(row.label, checked, failures)
+    return CableCheckReport(checked, failures)

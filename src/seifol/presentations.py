@@ -213,31 +213,24 @@ def pretzel_exterior_relators(k: int, l: int, m: int) -> tuple[Word, Word, Word]
     why one of them is redundant."""
     if k < 1 or l < 1 or m < 1:
         raise ValueError("pretzel parameters must be positive")
-    r1 = Word(
-        [("x", 1), ("y", -1)] * m
-        + [("x", 1)]
-        + [("y", 1), ("x", -1)] * m
-        + [("y", 1), ("z", -1)] * (k + 1)
-        + [("z", -1)]
-        + [("z", 1), ("y", -1)] * (k + 1)
-    )
-    r2 = Word(
-        [("y", 1), ("z", -1)] * k
-        + [("y", 1)]
-        + [("z", 1), ("y", -1)] * k
-        + [("z", 1), ("x", -1)] * (l + 1)
-        + [("x", -1)]
-        + [("x", 1), ("z", -1)] * (l + 1)
-    )
-    r3 = Word(
-        [("z", 1), ("x", -1)] * l
-        + [("z", 1)]
-        + [("x", 1), ("z", -1)] * l
-        + [("x", 1), ("y", -1)] * (m + 1)
-        + [("y", -1)]
-        + [("y", 1), ("x", -1)] * (m + 1)
-    )
-    return r1, r2, r3
+    # relator i is one expression in (a, b, c) = the meridians rotated i
+    # times and twists (p, q) = (m, k), (k, l), (l, m)
+    gens, twists = ("x", "y", "z"), (m, k, l)
+    relators = []
+    for i in range(3):
+        a, b, c = gens[i], gens[(i + 1) % 3], gens[(i + 2) % 3]
+        p, q = twists[i], twists[(i + 1) % 3]
+        relators.append(
+            Word(
+                [(a, 1), (b, -1)] * p
+                + [(a, 1)]
+                + [(b, 1), (a, -1)] * p
+                + [(b, 1), (c, -1)] * (q + 1)
+                + [(c, -1)]
+                + [(c, 1), (b, -1)] * (q + 1)
+            )
+        )
+    return tuple(relators)
 
 
 @dataclass(frozen=True)

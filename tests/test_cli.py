@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -94,7 +95,7 @@ class TestSubcommands:
     def test_cable_commands(self, capsys):
         _, doc = run(capsys, "cable", "family", "c332b", "-1")
         assert doc["payload"]["notation"] == "M(-2; 1/2, 1/2, 1/2, 1/5)"
-        assert doc["provenance"] == "c332b"
+        assert "provenance" not in doc
         _, doc = run(capsys, "cable", "check", "c235", "-10", "0")
         assert doc["payload"]["ok"] is True
 
@@ -151,6 +152,38 @@ class TestLoCheckGoldens:
     def test_pretzel_1_2_3(self, capsys):
         assert main(["lo", "check", "builtin:pretzel:1,2,3"]) == 0
         assert capsys.readouterr().out == self.PRETZEL_1_2_3
+
+
+class TestDocumentGoldens:
+    """Full stdout of the commands whose documents once carried a top-level
+    ``provenance`` key, pinned byte for byte without it."""
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (
+                ["invariants", "6", "3", "5"],
+                '{"b": -3, "euler": "-1/10", "fibers": [{"alpha": 2, "beta": 1}, {"alpha": 5, "beta": 4}, '
+                '{"alpha": 5, "beta": 4}, {"alpha": 5, "beta": 4}], "h1": 25, "known": true, '
+                '"notation": "M(-3; 1/2, 4/5, 4/5, 4/5)", "source": "neumann-raymond"}',
+            ),
+            (
+                ["cable", "family", "c332b", "-1"],
+                '{"b": -2, "decision": {"condition": 1, "horizontal": true}, "fibers": [{"alpha": 2, "beta": 1}, '
+                '{"alpha": 2, "beta": 1}, {"alpha": 2, "beta": 1}, {"alpha": 5, "beta": 1}], '
+                '"notation": "M(-2; 1/2, 1/2, 1/2, 1/5)"}',
+            ),
+            (
+                ["cable", "check", "c235", "-3", "0"],
+                '{"checked": [-3, -2, -1, 0], "failures": [], "ok": true}',
+            ),
+        ],
+        ids=["invariants", "cable-family", "cable-check"],
+    )
+    def test_document(self, capsys, argv, payload):
+        assert main(argv) == 0
+        expected = '{"payload": ' + payload + ', "schema": "seifol/1", "status": "ok"}\n'
+        assert capsys.readouterr().out == expected
 
 
 class TestDecideGoldens:
@@ -306,6 +339,85 @@ class TestErrorHandling:
         code, doc = run(capsys, "crosscheck", "--sweep", str(cap), str(cap), str(cap))
         assert code == 0 and doc["payload"]["inconsistencies"] == []
         assert doc["payload"]["queries"] == sum(1 for _ in torus_covers.sweep_queries(cap, cap, cap))
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+        reason="integers of any length convert to str",
+    )
+    def test_unprintable_payload_is_an_error_document(self, capsys):
+        # 500 fibers 1/(10^9 + i): |H1| has about 4500 digits, past the int-to-str limit
+        form = "M(-1; " + ", ".join(f"1/{10**9 + i}" for i in range(500)) + ")"
+        assert main(["seifert", "h1", form]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["status"] == "error" and doc["code"] == "domain-error"
+        assert "limit" in doc["message"]
+
+    def test_builtin_parameter_cap_refused_before_building(self, capsys, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("presentation built beyond the parameter cap")
+
+        cap = cli.BUILTIN_PARAMETER_CAP
+        with monkeypatch.context() as patched:
+            for family, names in [("twobridge", "k l n"), ("pretzel", "k l m")]:
+                patched.setitem(cli._BUILTIN_COVERS, family, (unexpected, names))
+            for family, params in [
+                ("pretzel", (1, 1, cap + 1)),
+                ("pretzel", (10**6, 1, 1)),
+                ("twobridge", (1, cap + 1, 3)),
+                ("twobridge", (cap + 1, 1, 24)),
+            ]:
+                value = max(params)
+                refused = {
+                    "status": "error",
+                    "code": "domain-error",
+                    "message": f"{family} parameter {value} exceeds cap {cap}",
+                }
+                assert run(capsys, "present", family, *map(str, params)) == (1, refused)
+                builtin = f"builtin:{family}:" + ",".join(map(str, params))
+                assert run(capsys, "lo", "check", builtin) == (1, refused)
+            # the generator cap is checked first and keeps its own code
+            code, doc = run(capsys, "present", "twobridge", "1", "1", "1000000")
+            assert (code, doc["code"]) == (1, "too-many-generators")
+        code, doc = run(capsys, "present", "pretzel", str(cap), str(cap), str(cap))
+        assert code == 0 and len(doc["payload"]["relators"]) == 8
+        code, doc = run(capsys, "lo", "check", f"builtin:twobridge:{cap},{cap},2")
+        assert code == 0 and doc["payload"]["assignments_checked"] == 4
+
+    def test_strand_cap_refused_before_describing(self, capsys, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("surgery described beyond the strand cap")
+
+        cap = cli.STRAND_CAP
+        with monkeypatch.context() as patched:
+            patched.setattr(presentations, "pretzel_surgery_description", unexpected)
+            for n, k in [(cap + 1, 10**6), (2 * cap + 1, cap), (10**9, 10**9)]:
+                refused = {"status": "error", "code": "domain-error", "message": f"{n} strands exceeds cap {cap}"}
+                assert run(capsys, "pretzel-surgery", str(n), str(k), "1", "+") == (1, refused)
+        # n divides the odd 2k + 1 = 3n, so the largest accepted n is odd
+        n = cap - 1 + cap % 2
+        code, doc = run(capsys, "pretzel-surgery", str(n), str((3 * n - 1) // 2), "1", "+")
+        assert code == 0 and doc["payload"]["strands"] == [3] * n
+        assert doc["payload"]["coefficient"] == "1/3"
+
+    def test_fiber_cap_refused_before_building(self, capsys, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("cover built beyond the fiber cap")
+
+        cap = cli.FIBER_CAP
+        with monkeypatch.context() as patched:
+            patched.setattr(torus_covers, "branched_invariants", unexpected)
+            # 1 + gcd(n, p) + gcd(n, q) fibers at most
+            for n, p, q in [(cap, cap, 3), (200000, 200000, 3), (6 * cap, 2 * cap, 3)]:
+                fibers = 1 + gcd(n, p) + gcd(n, q)
+                refused = {"status": "error", "code": "domain-error", "message": f"{fibers} fibers exceeds cap {cap}"}
+                assert run(capsys, "invariants", str(n), str(p), str(q)) == (1, refused)
+        # a large n with small gcds stays accepted
+        code, doc = run(capsys, "invariants", str(10**12 + 1), "2", "3")
+        assert code == 0 and doc["payload"]["known"] is True
+        code, doc = run(capsys, "invariants", str(cap - 2), str(cap - 2), "5")
+        assert code == 0 and len(doc["payload"]["fibers"]) == cap - 2
 
     def test_closed_pipe_exits_quietly(self):
         read_end, write_end = os.pipe()
