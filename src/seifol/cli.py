@@ -12,10 +12,15 @@ indents the output; there is no color and no environment configuration.
 
 ``main(argv)`` may be called many times in one process: it returns the exit
 code, and a usage error raises ``SystemExit(2)``.  The parser is built once
-per process, on the first call.  Every input that grows the work is capped
-(``CABLE_WINDOW_CAP``, ``SWEEP_CAP``, ``BUILTIN_PARAMETER_CAP``,
+per process, on the first call.  The inputs that grow the work by count
+are capped (``CABLE_WINDOW_CAP``, ``SWEEP_CAP``, ``BUILTIN_PARAMETER_CAP``,
 ``STRAND_CAP``, ``FIBER_CAP``) and refused with a ``domain-error`` above the
-cap, before any work is done, so no call runs unbounded.
+cap, before any work is done.  Three shapes still run unbounded: they reach
+the witness scan, quadratic in the largest fiber multiplicity, with no cap.
+They are ``cable family c235 99999999999999999999``,
+``seifert decide "M(-1; 1/2, 2/3, 1/100000007)"`` and
+``surgery 1 2 3 -- 1000000007/1``.  A cap would hide the scan, so they stay
+unbounded until the scan is replaced.
 """
 
 from __future__ import annotations
@@ -121,11 +126,10 @@ def _cmd_invariants(args):
         raise SeifolError(f"{fibers} fibers exceeds cap {FIBER_CAP}")
     result = torus_covers.branched_invariants(qr)
     if not result.known:
-        return {"known": False, "source": None}
+        return {"known": False}
     si = result.invariants
     payload = _seifert_payload(si)
     payload["known"] = True
-    payload["source"] = result.source
     payload["euler"] = str(euler_number(si))
     payload["h1"] = h1_order(si).order
     return payload
@@ -154,10 +158,7 @@ def _parse_matrix(text: str) -> gluing.SlopeMap:
     parts = text.replace("[", " ").replace("]", " ").replace(",", " ").split()
     if len(parts) != 4:
         raise NotationError(f"need 4 matrix entries, got {text!r}")
-    try:
-        a, b, c, d = (int(p) for p in parts)
-    except ValueError as exc:
-        raise NotationError(f"bad matrix {text!r}: {exc}") from exc
+    a, b, c, d = (rationals.parse_int(p) for p in parts)
     try:
         return gluing.SlopeMap(a, b, c, d)
     except ValueError as exc:
@@ -232,10 +233,7 @@ def _cmd_present(args):
 def _load_presentation(source: str) -> presentations.GroupPresentation:
     if source.startswith("builtin:"):
         name, _, params = source[len("builtin:") :].partition(":")
-        try:
-            values = [int(x) for x in params.split(",")] if params else []
-        except ValueError as exc:
-            raise NotationError(f"builtin parameters must be integers, got {params!r}") from exc
+        values = [rationals.parse_int(x) for x in params.split(",")] if params else []
         return _builtin_cover(name, values)
     if source == "-":
         return presentations.parse_presentation(sys.stdin.read())

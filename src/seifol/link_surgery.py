@@ -19,6 +19,7 @@ from math import gcd
 
 from .errors import FiberSlopeFilling, NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
+from .rationals import parse_fraction
 from .seifert import SeifertInvariants, normalize, reverse_orientation, torus_fiber_betas
 
 @dataclass(frozen=True)
@@ -37,15 +38,11 @@ class Slope:
 
 
 def parse_slope(text: str) -> Slope:
-    parts = text.strip().split("/")
+    a, c = parse_fraction(text)  # 1/0 is the meridian
     try:
-        if len(parts) == 1:
-            return Slope(int(parts[0]), 1)
-        if len(parts) == 2:
-            return Slope(int(parts[0]), int(parts[1]))
+        return Slope(a, 1 if c is None else c)
     except ValueError as exc:
         raise NotationError(f"bad slope {text!r}: {exc}") from exc
-    raise NotationError(f"bad slope {text!r}")
 
 
 @dataclass(frozen=True)

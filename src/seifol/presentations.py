@@ -15,11 +15,11 @@ reported as data.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import IndivisibleSurgery, NotationError, TooManyGenerators
+from .rationals import parse_int
 from .snf import cokernel_order
 from .words import Word
 
@@ -258,9 +258,6 @@ def pretzel_surgery_description(n: int, k: int, l: int, sign: str) -> PretzelSur
     return PretzelSurgery(((2 * l + 1),) * n, coeff, sign == "+")
 
 
-_GEN_TOKEN = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
-
-
 def parse_presentation(text: str) -> GroupPresentation:
     """Parse ``gens: a b c; rel: a b c; rel: a^-1 b`` into a presentation."""
     chunks = [c.strip() for c in text.replace("\n", ";").split(";") if c.strip()]
@@ -274,13 +271,13 @@ def parse_presentation(text: str) -> GroupPresentation:
         elif chunk.startswith("rel:"):
             letters = []
             for tok in chunk[len("rel:") :].split():
-                m = _GEN_TOKEN.match(tok)
-                if not m:
+                name, caret, exp = tok.partition("^")
+                if not (name.isascii() and name.isidentifier()):
                     raise NotationError(f"bad letter {tok!r}")
-                exp = int(m.group(2)) if m.group(2) else 1
+                exp = parse_int(exp) if caret else 1
                 if exp == 0:
                     raise NotationError(f"zero exponent in {tok!r}")
-                letters.append((m.group(1), exp))
+                letters.append((name, exp))
             relators.append(Word(letters))
         else:
             raise NotationError(f"unrecognized section {chunk!r}")

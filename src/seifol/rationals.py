@@ -1,8 +1,12 @@
-"""Exact rational numbers and continued-fraction conversion.
+"""Exact rational numbers, the number reader, and continued fractions.
 
 All arithmetic in this package is exact; floating point is never used.
 ``Rational`` is an alias of the stdlib ``fractions.Fraction``, exported as
 ``seifol.Rational``; the other modules use ``Fraction`` directly.
+
+Every number read from text goes through ``parse_int`` or ``parse_fraction``:
+Python's ``int()`` grammar, and one short ``NotationError`` for a malformed or
+over-long number.  Callers keep their own rules (zero denominators, lowest terms).
 
 Continued fractions follow the convention
 
@@ -13,7 +17,7 @@ with every term a nonzero integer.
 
 from __future__ import annotations
 
-import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,19 +28,30 @@ Rational = Fraction
 CANONICAL_POSITIVE = "canonical-positive"
 EVEN_TERMS = "even-terms"
 
-_RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
+
+def parse_int(text: str) -> int:
+    """Read an integer in Python's ``int()`` grammar, or raise one short NotationError."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and sum(c.isdigit() for c in text) > limit:
+            raise NotationError(f"integer longer than {limit} digits, the interpreter's limit") from None
+        raise NotationError(f"not an integer: {text[:40]!r}{'...' if len(text) > 40 else ''}") from None
+
+
+def parse_fraction(text: str) -> tuple[int, int | None]:
+    """``"a/b"`` as ``(a, b)``, any ``b``, and ``"a"`` as ``(a, None)``."""
+    num, slash, den = text.partition("/")
+    return parse_int(num), parse_int(den) if slash else None
 
 
 def parse_rational(text: str) -> Rational:
     """Parse ``"a/b"`` or ``"a"`` into an exact rational."""
-    m = _RATIONAL_RE.match(text)
-    if not m:
-        raise NotationError(f"not a rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num, den = parse_fraction(text)
     if den == 0:
         raise NotationError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return Fraction(num, den or 1)
 
 
 @dataclass(frozen=True)
@@ -66,8 +81,8 @@ def parse_continued_fraction(text: str) -> ContinuedFraction:
     body = s[1:-1].strip()
     if not body:
         raise NotationError("empty continued fraction")
+    terms = tuple(parse_int(tok) for tok in body.split(","))
     try:
-        terms = tuple(int(tok.strip()) for tok in body.split(","))
         return ContinuedFraction(terms)
     except ValueError as exc:
         raise NotationError(f"bad continued fraction {text!r}: {exc}") from exc

@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import NotationError
+from .rationals import parse_fraction
 from .snf import cokernel_order
 
 
@@ -160,9 +161,6 @@ def h1_order_snf(si: SeifertInvariants) -> H1Order:
     return H1Order.finite(order) if order is not None else H1Order.infinite()
 
 
-_TOKEN_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
-
-
 def parse_seifert(text: str) -> SeifertInvariants:
     """Parse the notation ``M(b; b1/a1, b2/a2, ...)``.
 
@@ -181,17 +179,13 @@ def parse_seifert(text: str) -> SeifertInvariants:
     b = 0
     fibers: list[tuple[int, int]] = []
     for pos, tok in enumerate(tokens):
-        tm = _TOKEN_RE.match(tok)
-        if not tm:
-            raise NotationError(f"bad Seifert token {tok!r} in {text!r}")
-        num = int(tm.group(1))
-        if tm.group(2) is None:
+        num, den = parse_fraction(tok)
+        if den is None:
             if pos == 0:
                 b = num
             else:
                 fibers.append((1, num))
             continue
-        den = int(tm.group(2))
         if den == 0:
             raise NotationError(f"zero multiplicity in token {tok!r}")
         if den < 0:  # store multiplicities positive

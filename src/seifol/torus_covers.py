@@ -21,6 +21,7 @@ from math import gcd, lcm, prod
 
 from .errors import NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
+from .rationals import parse_int
 from .seifert import SeifertInvariants, normalize
 
 CONSISTENT = "Consistent"
@@ -46,14 +47,13 @@ class TorusCoverQuery:
 @dataclass(frozen=True)
 class BranchedInvariantsResult:
     invariants: SeifertInvariants | None
-    source: str | None
 
     @property
     def known(self) -> bool:
         return self.invariants is not None
 
 
-UNSUPPORTED = BranchedInvariantsResult(None, None)
+UNSUPPORTED = BranchedInvariantsResult(None)
 
 
 def classify_torus_cover(qr: TorusCoverQuery) -> ExcellenceVerdict:
@@ -71,7 +71,7 @@ def branched_invariants(qr: TorusCoverQuery) -> BranchedInvariantsResult:
     n, p, q = qr.n, qr.p, qr.q
     if gcd(n, p) > 1 and gcd(n, q) > 1:
         return UNSUPPORTED
-    return BranchedInvariantsResult(normalize(brieskorn_invariants(n, p, q)), "neumann-raymond")
+    return BranchedInvariantsResult(normalize(brieskorn_invariants(n, p, q)))
 
 
 def brieskorn_invariants(a1: int, a2: int, a3: int) -> SeifertInvariants:
@@ -167,7 +167,8 @@ def crosscheck_sweep(n_max: int, p_max: int, q_max: int) -> dict:
 
 
 def parse_query(n: str, p: str, q: str) -> TorusCoverQuery:
+    n, p, q = parse_int(n), parse_int(p), parse_int(q)
     try:
-        return TorusCoverQuery(int(n), int(p), int(q))
+        return TorusCoverQuery(n, p, q)
     except ValueError as exc:
         raise NotationError(str(exc)) from exc

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -59,16 +60,15 @@ class TestSubcommands:
 
     def test_invariants(self, capsys):
         code, doc = run(capsys, "invariants", "2", "2", "5")
-        assert doc["payload"]["source"] == "neumann-raymond"
         assert doc["payload"]["notation"] == "M(-1; 2/5, 2/5)"
         code, doc = run(capsys, "invariants", "6", "3", "5")
         assert code == 0
         assert doc["payload"]["notation"] == "M(-3; 1/2, 4/5, 4/5, 4/5)"
         assert doc["payload"]["h1"] == 25
-        assert doc["payload"]["source"] == "neumann-raymond"
+        assert "source" not in doc["payload"]
         code, doc = run(capsys, "invariants", "6", "2", "3")
         assert code == 0
-        assert doc["payload"] == {"known": False, "source": None}
+        assert doc["payload"] == {"known": False}
 
     def test_crosscheck_sweep(self, capsys):
         code, doc = run(capsys, "crosscheck", "--sweep", "5", "5", "5")
@@ -165,7 +165,7 @@ class TestDocumentGoldens:
                 ["invariants", "6", "3", "5"],
                 '{"b": -3, "euler": "-1/10", "fibers": [{"alpha": 2, "beta": 1}, {"alpha": 5, "beta": 4}, '
                 '{"alpha": 5, "beta": 4}, {"alpha": 5, "beta": 4}], "h1": 25, "known": true, '
-                '"notation": "M(-3; 1/2, 4/5, 4/5, 4/5)", "source": "neumann-raymond"}',
+                '"notation": "M(-3; 1/2, 4/5, 4/5, 4/5)"}',
             ),
             (
                 ["cable", "family", "c332b", "-1"],
@@ -285,7 +285,7 @@ class TestErrorHandling:
             ("builtin:twobridge:1,2", "twobridge takes parameters k l n"),
             ("builtin:pretzel:1,2,3,4", "pretzel takes parameters k l m"),
             ("builtin:twobridge", "twobridge takes parameters k l n"),
-            ("builtin:twobridge:1,x,3", "builtin parameters must be integers, got '1,x,3'"),
+            ("builtin:twobridge:1,x,3", "not an integer: 'x'"),
         ],
     )
     def test_builtin_parameter_count(self, capsys, source, message):
@@ -353,6 +353,62 @@ class TestErrorHandling:
         doc = json.loads(captured.out)
         assert doc["status"] == "error" and doc["code"] == "domain-error"
         assert "limit" in doc["message"]
+
+    BIG = "7" * 5000  # past the int-to-str digit limit
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+        reason="integers of any length convert from str",
+    )
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["cf", "expand", BIG], None),
+            (["seifert", "decide", f"M(-1; 1/2, 1/3, 1/{BIG})"], None),
+            (["lo", "check", "-"], f"gens: a; rel: a^{BIG}"),
+            (["classify", BIG, "3", "5"], None),
+            (["invariants", "2", BIG, "5"], None),
+            (["cf", "eval", f"[2,{BIG}]"], None),
+            (["surgery", "1", "2", "3", "--", f"{BIG}/1"], None),
+            (["slope", "apply", f"1,{BIG},0,1", "1/1"], None),
+            (["lo", "check", f"builtin:twobridge:1,1,{BIG}"], None),
+        ],
+        ids=["cf-expand", "seifert", "exponent", "classify", "invariants", "cf-eval", "slope", "matrix", "builtin"],
+    )
+    def test_over_long_integer_is_a_short_notation_error(self, capsys, monkeypatch, argv, stdin):
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["status"] == "error" and doc["code"] == "notation-error"
+        assert "set_int_max_str_digits" not in doc["message"]
+        assert len(doc["message"]) < 200
+        assert doc["message"] == f"integer longer than {sys.get_int_max_str_digits()} digits, the interpreter's limit"
+
+    def test_malformed_long_token_message_stays_short(self, capsys):
+        code, doc = run(capsys, "cf", "expand", "x" * 5000)
+        assert (code, doc["code"]) == (1, "notation-error")
+        assert doc["message"] == "not an integer: " + repr("x" * 40) + "..."
+
+    def test_widened_number_grammar(self, capsys, monkeypatch):
+        # every number is read with Python's int() grammar: a signed
+        # denominator, a "+" sign and "_" separators are accepted everywhere
+        for argv, same in [
+            (["cf", "expand", "--", "3/-4"], ["cf", "expand", "--", "-3/4"]),
+            (["cf", "expand", " +1_9 / 3 "], ["cf", "expand", "19/3"]),
+            (["seifert", "normalize", "M(+3/4, -1/+2)"], ["seifert", "normalize", "M(0; 3/4, -1/2)"]),
+            (["seifert", "euler", "M(1_0; 1/2)"], ["seifert", "euler", "M(10; 1/2)"]),
+        ]:
+            assert run(capsys, *argv) == run(capsys, *same)
+        _, doc = run(capsys, "cf", "expand", "--", "3/-4")
+        assert doc["payload"]["terms"] == [-1, 4]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("gens: a b; rel: a^+1_0 b^-1"))
+        code, doc = run(capsys, "lo", "check", "-")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("gens: a b; rel: a^10 b^-1"))
+        assert (code, doc) == run(capsys, "lo", "check", "-")
+        assert code == 0
 
     def test_builtin_parameter_cap_refused_before_building(self, capsys, monkeypatch):
         def unexpected(*args):

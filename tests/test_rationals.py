@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seifol.errors import DegenerateExpansion, NoEvenExpansion
+from seifol.errors import DegenerateExpansion, NoEvenExpansion, NotationError
 from seifol.rationals import (
     CANONICAL_POSITIVE,
     EVEN_TERMS,
@@ -13,6 +13,8 @@ from seifol.rationals import (
     cf_eval,
     cf_expand,
     parse_continued_fraction,
+    parse_fraction,
+    parse_int,
     parse_rational,
 )
 
@@ -124,3 +126,18 @@ def test_parsing():
     assert parse_rational("-7") == Fraction(-7)
     assert parse_continued_fraction("[2,-2]").terms == (2, -2)
     assert str(ContinuedFraction((2, -2))) == "[2,-2]"
+
+
+def test_number_reader_grammar_is_int():
+    for text in ["7", "-7", "+7", " 7 ", "1_000", "007", "-0"]:
+        assert parse_int(text) == int(text)
+    assert parse_fraction("3/-4") == (3, -4)
+    assert parse_fraction(" 1 / 0 ") == (1, 0)
+    assert parse_fraction("+5") == (5, None)
+    assert parse_rational("3/-4") == Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("text", ["", " ", "x", "1.5", "1__0", "_1", "1_", "--1", "1/2/3", "/2", "2/"])
+def test_number_reader_refusals(text):
+    with pytest.raises(NotationError):
+        parse_fraction(text)

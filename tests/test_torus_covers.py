@@ -16,6 +16,7 @@ from seifol.torus_covers import (
     crosscheck_sweep,
     sweep_queries,
 )
+from torus_cover_oracle import ROUTES as ORACLE_ROUTES
 from torus_cover_oracle import branched_invariants as oracle_invariants
 from torus_cover_oracle import divisor_invariants, exception_label, four_fold_two_strand, special_table_raw
 
@@ -80,22 +81,18 @@ class TestClassifier:
 class TestBranchedInvariants:
     def test_double_cover_of_three_five(self):
         r = branched_invariants(TorusCoverQuery(2, 3, 5))
-        assert r.source == "neumann-raymond"
         assert r.invariants == M("M(-2; 1/2, 2/3, 4/5)")
 
     def test_double_cover_of_two_five(self):
         r = branched_invariants(TorusCoverQuery(2, 2, 5))
-        assert r.source == "neumann-raymond"
         assert r.invariants == M("M(-1; 2/5, 2/5)")
 
     def test_triple_cover_of_three_two(self):
         r = branched_invariants(TorusCoverQuery(3, 3, 2))
-        assert r.source == "neumann-raymond"
         assert r.invariants == M("M(-2; 1/2, 1/2, 1/2)")
 
     def test_four_fold_of_two_five(self):
         r = branched_invariants(TorusCoverQuery(4, 2, 5))
-        assert r.source == "neumann-raymond"
         assert r.invariants == M("M(-1; 1/2, 1/5, 1/5)")
 
     def test_five_fold_of_two_three(self):
@@ -111,13 +108,13 @@ class TestBranchedInvariants:
     def test_six_fold_of_three_five(self):
         # exponent 6 shares 3 with p: three copies of the fiber over 5
         r = branched_invariants(TorusCoverQuery(6, 3, 5))
-        assert r.source == "neumann-raymond"
         assert r.invariants == M("M(-3; 1/2, 4/5, 4/5, 4/5)")
         assert euler_number(r.invariants) == Fraction(-90, 30**2)
         assert h1_order(r.invariants).order == 25
 
     def test_matches_case_split_oracle(self):
         answered = unsupported = 0
+        routes = set()
         for n in range(2, 22):
             for p in range(2, 22):
                 for q in range(2, 22):
@@ -130,9 +127,11 @@ class TestBranchedInvariants:
                     expected = oracle_invariants(qr)
                     if expected.known:
                         answered += 1
+                        routes.add(expected.route)
                         assert r.invariants == expected.invariants, qr
         # ordered (p, q) pairs count every unordered query twice
         assert (answered, unsupported) == (2 * 1494, 2 * 137)
+        assert routes == set(ORACLE_ROUTES)
 
     def test_consistent_on_wide_sweep(self):
         report = crosscheck_sweep(21, 21, 21)
@@ -147,7 +146,6 @@ class TestBranchedInvariants:
                     if gcd(p, q) != 1 or gcd(n, p * q) != 1:
                         continue
                     r = branched_invariants(TorusCoverQuery(n, p, q))
-                    assert r.source == "neumann-raymond"
                     assert euler_number(r.invariants) == Fraction(-1, p * q * n)
                     assert h1_order(r.invariants).order == 1
 

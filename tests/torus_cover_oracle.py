@@ -12,32 +12,46 @@ replaced with Milnor's inequality 1/n + 1/p + 1/q > 1.
 """
 
 from math import gcd
+from typing import NamedTuple
 
 from seifol.seifert import SeifertInvariants, normalize, torus_fiber_betas
-from seifol.torus_covers import UNSUPPORTED, BranchedInvariantsResult, TorusCoverQuery
+from seifol.torus_covers import TorusCoverQuery
 
-SOURCE_COPRIME = "coprime"
-SOURCE_DIVISOR = "divisor"
-SOURCE_SIGMA4 = "sigma4-two-strand"
-SOURCE_TABLE = "special-table"
+ROUTE_COPRIME = "coprime"
+ROUTE_DIVISOR = "divisor"
+ROUTE_SIGMA4 = "sigma4-two-strand"
+ROUTE_TABLE = "special-table"
+ROUTES = (ROUTE_COPRIME, ROUTE_DIVISOR, ROUTE_SIGMA4, ROUTE_TABLE)
 
 
-def branched_invariants(qr: TorusCoverQuery) -> BranchedInvariantsResult:
+class OracleResult(NamedTuple):
+    """The oracle's invariants and the route that gave them; both ``None``
+    when no route applies."""
+
+    invariants: SeifertInvariants | None
+    route: str | None
+
+    @property
+    def known(self) -> bool:
+        return self.invariants is not None
+
+
+def branched_invariants(qr: TorusCoverQuery) -> OracleResult:
     n, p, q = qr.n, qr.p, qr.q
     if gcd(n, p * q) == 1:
-        return BranchedInvariantsResult(normalize(brieskorn_invariants(p, q, n)), SOURCE_COPRIME)
+        return OracleResult(normalize(brieskorn_invariants(p, q, n)), ROUTE_COPRIME)
     if p % n == 0:
-        return BranchedInvariantsResult(normalize(divisor_invariants(n, p, q)), SOURCE_DIVISOR)
+        return OracleResult(normalize(divisor_invariants(n, p, q)), ROUTE_DIVISOR)
     if q % n == 0:
-        return BranchedInvariantsResult(normalize(divisor_invariants(n, q, p)), SOURCE_DIVISOR)
+        return OracleResult(normalize(divisor_invariants(n, q, p)), ROUTE_DIVISOR)
     if n == 4 and p == 2:
-        return BranchedInvariantsResult(normalize(four_fold_two_strand(q)), SOURCE_SIGMA4)
+        return OracleResult(normalize(four_fold_two_strand(q)), ROUTE_SIGMA4)
     if n == 4 and q == 2:
-        return BranchedInvariantsResult(normalize(four_fold_two_strand(p)), SOURCE_SIGMA4)
+        return OracleResult(normalize(four_fold_two_strand(p)), ROUTE_SIGMA4)
     raw = special_table_raw(n, p, q)
     if raw is not None:
-        return BranchedInvariantsResult(normalize(raw), SOURCE_TABLE)
-    return UNSUPPORTED
+        return OracleResult(normalize(raw), ROUTE_TABLE)
+    return OracleResult(None, None)
 
 
 def brieskorn_invariants(p: int, q: int, n: int) -> SeifertInvariants:
