@@ -6,8 +6,8 @@ Every subcommand prints a single JSON document on standard output:
 
 Exit codes: 0 for success, 1 for a domain error, reported as the JSON error
 document ``{"status": "error", "code": ..., "message": ...}`` with a stable
-code, and 2 for a usage error.  A payload that cannot be written as JSON
-(an integer too long to print) is a ``domain-error`` too.  ``--pretty``
+code, and 2 for a usage error.  A result holding an integer too long to
+print is a ``domain-error`` too.  ``--pretty``
 indents the output; there is no color and no environment configuration.
 
 ``main(argv)`` may be called many times in one process: it returns the exit
@@ -57,6 +57,24 @@ SWEEP_CAP = 30
 BUILTIN_PARAMETER_CAP = 1000
 STRAND_CAP = 1000
 FIBER_CAP = 2000
+
+
+def _integer(text: str) -> int:
+    """The ``type`` of every integer argument: the reader's grammar, and its
+    short message as the usage error."""
+    try:
+        return rationals.parse_int(text)
+    except NotationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _error_message(exc: Exception) -> str:
+    # Python's message for an integer past the int-to-str digit limit points
+    # to sys.set_int_max_str_digits(), which a command-line user cannot call
+    if type(exc) is ValueError and "integer string conversion" in str(exc):
+        limit = sys.get_int_max_str_digits()
+        return f"result holds an integer longer than {limit} digits, the interpreter's limit"
+    return str(exc)
 
 
 def _seifert_payload(si: SeifertInvariants) -> dict:
@@ -157,7 +175,7 @@ def _cmd_surgery(args):
 def _parse_matrix(text: str) -> gluing.SlopeMap:
     parts = text.replace("[", " ").replace("]", " ").replace(",", " ").split()
     if len(parts) != 4:
-        raise NotationError(f"need 4 matrix entries, got {text!r}")
+        raise NotationError(f"need 4 matrix entries, got {rationals.quoted(text)}")
     a, b, c, d = (rationals.parse_int(p) for p in parts)
     try:
         return gluing.SlopeMap(a, b, c, d)
@@ -211,7 +229,7 @@ _BUILTIN_COVERS = {
 
 def _builtin_cover(family: str, params) -> presentations.GroupPresentation:
     if family not in _BUILTIN_COVERS:
-        raise NotationError(f"unknown builtin {family!r}")
+        raise NotationError(f"unknown builtin {rationals.quoted(family)}")
     build, names = _BUILTIN_COVERS[family]
     if len(params) != 3:
         raise NotationError(f"{family} takes parameters {names}")
@@ -311,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_invariants)
 
     p = sub.add_parser("crosscheck", parents=[common], help="cross-validate classifier against invariants")
-    p.add_argument("--sweep", nargs=3, type=int, default=[9, 9, 9], metavar=("N", "P", "Q"))
+    p.add_argument("--sweep", nargs=3, type=_integer, default=[9, 9, 9], metavar=("N", "P", "Q"))
     p.set_defaults(handler=_cmd_crosscheck)
 
     p = sub.add_parser("surgery", parents=[common], help="fill a torus-link exterior")
-    p.add_argument("d", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
+    p.add_argument("d", type=_integer)
+    p.add_argument("r", type=_integer)
+    p.add_argument("s", type=_integer)
     p.add_argument("slopes", nargs="+", help='meridian-longitude slopes "a/c"')
     p.add_argument("--mirror", action="store_true", help="surger the mirror link")
     p.set_defaults(handler=_cmd_surgery)
@@ -339,17 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     cable_sub = p_cable.add_subparsers(dest="op", required=True)
     p = cable_sub.add_parser("family", parents=[common])
     p.add_argument("case")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p.set_defaults(handler=_cmd_cable_family)
     p = cable_sub.add_parser("check", parents=[common])
     p.add_argument("case")
-    p.add_argument("kmin", type=int)
-    p.add_argument("kmax", type=int)
+    p.add_argument("kmin", type=_integer)
+    p.add_argument("kmax", type=_integer)
     p.set_defaults(handler=_cmd_cable_check)
 
     p = sub.add_parser("present", parents=[common], help="branched-cover group presentations")
     p.add_argument("family", choices=["twobridge", "pretzel"])
-    p.add_argument("params", nargs="+", type=int)
+    p.add_argument("params", nargs="+", type=_integer)
     p.set_defaults(handler=_cmd_present)
 
     p_lo = sub.add_parser("lo", help="left-order obstruction search")
@@ -362,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lo_check)
 
     p = sub.add_parser("pretzel-surgery", parents=[common], help="surgery description of a two-bridge cover")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
+    p.add_argument("n", type=_integer)
+    p.add_argument("k", type=_integer)
+    p.add_argument("l", type=_integer)
     p.add_argument("sign", choices=["+", "-"])
     p.set_defaults(handler=_cmd_pretzel_surgery)
 
@@ -392,7 +410,7 @@ def main(argv=None) -> int:
         text, code = json.dumps(document, indent=indent, sort_keys=True), 0
     except (SeifolError, ValueError, OSError) as exc:
         error = exc.code if isinstance(exc, SeifolError) else "domain-error"
-        document = {"status": "error", "code": error, "message": str(exc)}
+        document = {"status": "error", "code": error, "message": _error_message(exc)}
         text, code = json.dumps(document, indent=indent, sort_keys=True), 1
     try:
         sys.stdout.write(text + "\n")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .seifert import SeifertInvariants, euler_number, normalize, reverse_orientation
+from .seifert import SeifertInvariants, _euler_numerator, normalize, reverse_orientation
 
 REASON_POSITIVE_B1 = "positive-b1"
 REASON_HORIZONTAL = "horizontal-foliation"
@@ -165,7 +165,7 @@ def decide_excellence(si: SeifertInvariants) -> ExcellenceVerdict:
     criterion decides, and its decision is kept on the verdict.
     """
     nsi = normalize(si)
-    if euler_number(nsi) == 0:
+    if _euler_numerator(nsi)[0] == 0:
         return ExcellenceVerdict(True, REASON_POSITIVE_B1)
     if len(nsi.fibers) <= 2:
         return ExcellenceVerdict(False, REASON_LENS)

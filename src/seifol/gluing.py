@@ -26,6 +26,7 @@ from math import gcd
 
 from .errors import DegenerateParameter, NotationError
 from .foliation import decide_horizontal
+from .rationals import quoted
 from .seifert import SeifertInvariants, normalize, reverse_orientation
 
 
@@ -232,7 +233,7 @@ def load_cable_rows() -> dict[str, CableCaseRow]:
 def get_cable_row(label: str) -> CableCaseRow:
     if label not in _CABLE_ROW_BY_LABEL:
         known = ", ".join(sorted(_CABLE_ROW_BY_LABEL))
-        raise NotationError(f"unknown cable case {label!r}; known: {known}")
+        raise NotationError(f"unknown cable case {quoted(label)}; known: {known}")
     return _CABLE_ROW_BY_LABEL[label]
 
 

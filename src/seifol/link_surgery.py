@@ -14,12 +14,11 @@ and fiber differ by ``fiber = longitude + rs * meridian``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import FiberSlopeFilling, NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
-from .rationals import parse_fraction
+from .rationals import QUOTE_CHARS, parse_fraction, quoted
 from .seifert import SeifertInvariants, normalize, reverse_orientation, torus_fiber_betas
 
 @dataclass(frozen=True)
@@ -42,7 +41,10 @@ def parse_slope(text: str) -> Slope:
     try:
         return Slope(a, 1 if c is None else c)
     except ValueError as exc:
-        raise NotationError(f"bad slope {text!r}: {exc}") from exc
+        # the constructor's message repeats both numbers, so past the quoting
+        # limit only the rule is named; (0, 0) is not primitive either
+        reason = exc if len(text) <= QUOTE_CHARS else "not primitive"
+        raise NotationError(f"bad slope {quoted(text)}: {reason}") from exc
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,14 @@ def fill(ext: TorusLinkExterior, slopes, mirror: bool = False) -> SeifertInvaria
         raise ValueError(f"expected {ext.d} slopes, got {len(slopes)}")
     if mirror:
         flipped = tuple(Slope(-sl.a, sl.c) for sl in slopes)
-        return normalize(reverse_orientation(fill(ext, flipped)))
+        return reverse_orientation(fill(ext, flipped))
     filled = []
     for sl in slopes:
         am, c = ml_to_mf(sl, ext.r, ext.s)
         if am == 0:
             raise FiberSlopeFilling(f"slope {sl} is the fiber slope of T({ext.d * ext.r},{ext.d * ext.s})")
-        frac = Fraction(-c, am)
-        filled.append((frac.denominator, frac.numerator))
+        # gcd(a - c*r*s, c) = gcd(a, c) = 1, so -c/am is already reduced
+        filled.append((abs(am), -c if am > 0 else c))
     return normalize(SeifertInvariants(-1, base_fibers(ext) + tuple(filled)))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import IndivisibleSurgery, NotationError, TooManyGenerators
-from .rationals import parse_int
+from .rationals import parse_int, quoted
 from .snf import cokernel_order
 from .words import Word
 
@@ -273,14 +273,14 @@ def parse_presentation(text: str) -> GroupPresentation:
             for tok in chunk[len("rel:") :].split():
                 name, caret, exp = tok.partition("^")
                 if not (name.isascii() and name.isidentifier()):
-                    raise NotationError(f"bad letter {tok!r}")
+                    raise NotationError(f"bad letter {quoted(tok)}")
                 exp = parse_int(exp) if caret else 1
                 if exp == 0:
-                    raise NotationError(f"zero exponent in {tok!r}")
+                    raise NotationError(f"zero exponent in {quoted(tok)}")
                 letters.append((name, exp))
             relators.append(Word(letters))
         else:
-            raise NotationError(f"unrecognized section {chunk!r}")
+            raise NotationError(f"unrecognized section {quoted(chunk)}")
     if gens is None:
         raise NotationError("missing 'gens:' section")
     try:

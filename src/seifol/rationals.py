@@ -27,6 +27,14 @@ Rational = Fraction
 
 CANONICAL_POSITIVE = "canonical-positive"
 EVEN_TERMS = "even-terms"
+# the most characters of an input that a refusal repeats
+QUOTE_CHARS = 40
+
+
+def quoted(text: str) -> str:
+    """How a refusal names its input: the ``repr`` of at most the first
+    ``QUOTE_CHARS`` characters, followed by ``...`` when cut."""
+    return f"{text[:QUOTE_CHARS]!r}{'...' if len(text) > QUOTE_CHARS else ''}"
 
 
 def parse_int(text: str) -> int:
@@ -37,7 +45,7 @@ def parse_int(text: str) -> int:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and sum(c.isdigit() for c in text) > limit:
             raise NotationError(f"integer longer than {limit} digits, the interpreter's limit") from None
-        raise NotationError(f"not an integer: {text[:40]!r}{'...' if len(text) > 40 else ''}") from None
+        raise NotationError(f"not an integer: {quoted(text)}") from None
 
 
 def parse_fraction(text: str) -> tuple[int, int | None]:
@@ -50,7 +58,7 @@ def parse_rational(text: str) -> Rational:
     """Parse ``"a/b"`` or ``"a"`` into an exact rational."""
     num, den = parse_fraction(text)
     if den == 0:
-        raise NotationError(f"zero denominator: {text!r}")
+        raise NotationError(f"zero denominator: {quoted(text)}")
     return Fraction(num, den or 1)
 
 
@@ -77,7 +85,7 @@ def parse_continued_fraction(text: str) -> ContinuedFraction:
     """Parse a bracketed comma list such as ``"[2,-2]"``."""
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise NotationError(f"not a bracketed list: {text!r}")
+        raise NotationError(f"not a bracketed list: {quoted(text)}")
     body = s[1:-1].strip()
     if not body:
         raise NotationError("empty continued fraction")
@@ -85,7 +93,7 @@ def parse_continued_fraction(text: str) -> ContinuedFraction:
     try:
         return ContinuedFraction(terms)
     except ValueError as exc:
-        raise NotationError(f"bad continued fraction {text!r}: {exc}") from exc
+        raise NotationError(f"bad continued fraction {quoted(text)}: {exc}") from exc
 
 
 def cf_eval(cf: ContinuedFraction) -> Rational:

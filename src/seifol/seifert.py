@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import NotationError
-from .rationals import parse_fraction
+from .rationals import parse_fraction, quoted
 from .snf import cokernel_order
 
 
@@ -80,7 +80,8 @@ def normalize(si: SeifertInvariants) -> SeifertInvariants:
 
     Integer parts of the fibers are absorbed into ``b``, multiplicity-one
     fibers disappear, and the remaining fibers are sorted so that equal
-    manifolds compare equal.  The Euler number is preserved exactly.
+    manifolds compare equal.  The Euler number is preserved exactly.  A
+    form that is already normalized and sorted is returned as it is.
     """
     b = si.b
     out = []
@@ -91,19 +92,23 @@ def normalize(si: SeifertInvariants) -> SeifertInvariants:
         r = beta % alpha  # in 1..alpha-1 because gcd(alpha, beta) = 1
         b += (beta - r) // alpha
         out.append((alpha, r))
-    return SeifertInvariants(b, tuple(sorted(out)))
+    fibers = tuple(sorted(out))
+    if b == si.b and fibers == si.fibers:
+        return si
+    return SeifertInvariants(b, fibers)
 
 
 def reverse_orientation(si: SeifertInvariants) -> SeifertInvariants:
     """Invariants of the same manifold with the opposite orientation.
 
-    Negates ``b`` and every fiber; a normalized input is re-normalized, which
-    lands on the ``(-n - b, (alpha_i - beta_i)/alpha_i)`` form.
+    Negates ``b`` and every fiber.  A normalized input gives the normalized
+    form of that negation, ``M(-b - n; (alpha_i - beta_i)/alpha_i)`` sorted:
+    each ``-beta_i/alpha_i`` is ``-1 + (alpha_i - beta_i)/alpha_i``.
     """
-    flipped = SeifertInvariants(-si.b, tuple((a, -be) for a, be in si.fibers))
     if si.normalized:
-        return normalize(flipped)
-    return flipped
+        fibers = tuple(sorted((a, a - be) for a, be in si.fibers))
+        return SeifertInvariants(-si.b - len(si.fibers), fibers)
+    return SeifertInvariants(-si.b, tuple((a, -be) for a, be in si.fibers))
 
 
 def torus_fiber_betas(r: int, s: int) -> tuple[int, int]:
@@ -117,26 +122,32 @@ def torus_fiber_betas(r: int, s: int) -> tuple[int, int]:
     return beta1, beta2
 
 
+def _euler_numerator(si: SeifertInvariants) -> tuple[int, int]:
+    """``(N, L)`` with ``e = N / L`` over the common denominator
+    ``L = lcm(alpha_i)``, not reduced; e vanishes exactly when N does."""
+    common = lcm(*(a for a, _ in si.fibers))
+    return si.b * common + sum(be * (common // a) for a, be in si.fibers), common
+
+
 def euler_number(si: SeifertInvariants) -> Fraction:
     """Exact Euler number ``b + sum(beta_i / alpha_i)``, summed in integers
     over the common denominator ``L = lcm(alpha_i)``."""
-    common = lcm(*(a for a, _ in si.fibers))
-    return Fraction(si.b * common + sum(be * (common // a) for a, be in si.fibers), common)
+    return Fraction(*_euler_numerator(si))
 
 
 def h1_order(si: SeifertInvariants) -> H1Order:
     """Order of first homology, by the closed formula |e| * prod(alpha).
 
-    Infinite exactly when the Euler number vanishes.  Cross-checked in the
-    test suite against :func:`h1_order_snf`, the cokernel order of the
-    presentation matrix from :func:`homology_presentation`.
+    Infinite exactly when the Euler number vanishes.  With ``e = N / L`` the
+    order is ``|N| * prod(alpha) // L``, exact because ``L = lcm(alpha_i)``
+    divides the product.  Cross-checked in the test suite against
+    :func:`h1_order_snf`, the cokernel order of the presentation matrix from
+    :func:`homology_presentation`.
     """
-    e = euler_number(si)
-    if e == 0:
+    num, common = _euler_numerator(si)
+    if num == 0:
         return H1Order.infinite()
-    value = abs(e) * prod(a for a, _ in si.fibers)
-    assert value.denominator == 1
-    return H1Order.finite(int(value))
+    return H1Order.finite(abs(num) * prod(a for a, _ in si.fibers) // common)
 
 
 def homology_presentation(si: SeifertInvariants) -> list[list[int]]:
@@ -171,7 +182,7 @@ def parse_seifert(text: str) -> SeifertInvariants:
     s = re.sub(r"\s+", "", text)
     m = re.match(r"^M\((.*)\)$", s)
     if not m:
-        raise NotationError(f"not a Seifert form: {text!r}")
+        raise NotationError(f"not a Seifert form: {quoted(text)}")
     body = m.group(1)
     if not body:
         raise NotationError("empty Seifert form; write M(0) for the trivial case")
@@ -187,11 +198,11 @@ def parse_seifert(text: str) -> SeifertInvariants:
                 fibers.append((1, num))
             continue
         if den == 0:
-            raise NotationError(f"zero multiplicity in token {tok!r}")
+            raise NotationError(f"zero multiplicity in token {quoted(tok)}")
         if den < 0:  # store multiplicities positive
             num, den = -num, -den
         if gcd(den, num) != 1:
-            raise NotationError(f"fiber {tok!r} is not in lowest terms")
+            raise NotationError(f"fiber {quoted(tok)} is not in lowest terms")
         fibers.append((den, num))
     try:
         return SeifertInvariants(b, tuple(fibers))

@@ -22,7 +22,7 @@ from math import gcd, lcm, prod
 from .errors import NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
 from .rationals import parse_int
-from .seifert import SeifertInvariants, normalize
+from .seifert import SeifertInvariants
 
 CONSISTENT = "Consistent"
 INCONSISTENT = "Inconsistent"
@@ -71,7 +71,7 @@ def branched_invariants(qr: TorusCoverQuery) -> BranchedInvariantsResult:
     n, p, q = qr.n, qr.p, qr.q
     if gcd(n, p) > 1 and gcd(n, q) > 1:
         return UNSUPPORTED
-    return BranchedInvariantsResult(normalize(brieskorn_invariants(n, p, q)))
+    return BranchedInvariantsResult(brieskorn_invariants(n, p, q))
 
 
 def brieskorn_invariants(a1: int, a2: int, a3: int) -> SeifertInvariants:
@@ -85,6 +85,13 @@ def brieskorn_invariants(a1: int, a2: int, a3: int) -> SeifertInvariants:
     coprime exponents give a Brieskorn sphere with Euler number
     -1/(a_1 a_2 a_3).  The base genus is not recorded, so the form
     describes the manifold only when the base is a sphere.
+
+    The form is already normalized, and its fibers are sorted, so
+    ``normalize`` returns it as it is.  A fiber is kept only when
+    alpha_i >= 2.  A prime dividing alpha_i divides l to a higher power than
+    it divides a_j and a_k, so that power is the one in a_i and the prime
+    does not divide l / a_i.  Hence l / a_i is a unit mod alpha_i, and so is
+    beta_i: it is coprime to alpha_i, never 0, and 0 < beta_i < alpha_i.
     """
     exponents = (a1, a2, a3)
     l = lcm(*exponents)
@@ -102,7 +109,7 @@ def brieskorn_invariants(a1: int, a2: int, a3: int) -> SeifertInvariants:
         weighted += count * beta * (total // alpha)
     b, rem = divmod(-prod(exponents) - weighted, total)
     assert rem == 0
-    return SeifertInvariants(b, tuple(fibers))
+    return SeifertInvariants(b, tuple(sorted(fibers)))
 
 
 @dataclass(frozen=True)

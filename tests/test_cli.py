@@ -345,14 +345,18 @@ class TestErrorHandling:
         reason="integers of any length convert to str",
     )
     def test_unprintable_payload_is_an_error_document(self, capsys):
-        # 500 fibers 1/(10^9 + i): |H1| has about 4500 digits, past the int-to-str limit
-        form = "M(-1; " + ", ".join(f"1/{10**9 + i}" for i in range(500)) + ")"
-        assert main(["seifert", "h1", form]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        doc = json.loads(captured.out)
-        assert doc["status"] == "error" and doc["code"] == "domain-error"
-        assert "limit" in doc["message"]
+        # fibers 1/(10^9 + i): with 500, |H1| has about 4500 digits, past the
+        # int-to-str limit, when json writes it; with 900 the Euler number's
+        # numerator is past it too, when the handler writes it as a string
+        limit = sys.get_int_max_str_digits()
+        message = f"result holds an integer longer than {limit} digits, the interpreter's limit"
+        for op, count in [("h1", 500), ("euler", 900)]:
+            form = "M(-1; " + ", ".join(f"1/{10**9 + i}" for i in range(count)) + ")"
+            assert main(["seifert", op, form]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            doc = json.loads(captured.out)
+            assert doc == {"status": "error", "code": "domain-error", "message": message}
 
     BIG = "7" * 5000  # past the int-to-str digit limit
 
@@ -495,6 +499,81 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surgery", "{}", "2", "3", "1/1"],
+            ["cable", "family", "c235", "{}"],
+            ["cable", "check", "c235", "-3", "{}"],
+            ["present", "pretzel", "1", "{}", "3"],
+            ["crosscheck", "--sweep", "9", "{}", "9"],
+            ["pretzel-surgery", "3", "{}", "1", "+"],
+        ],
+        ids=["surgery", "cable-family", "cable-check", "present", "crosscheck", "pretzel-surgery"],
+    )
+    def test_integer_arguments_read_by_the_reader(self, capsys, argv):
+        # every integer argument has the reader's grammar and its short
+        # message; a refusal stays a usage error: exit 2, nothing on stdout
+        refused = [("x" * 5000, "not an integer: " + repr("x" * 40) + "..."), ("two", "not an integer: 'two'")]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            refused.append(("7" * 5000, f"integer longer than {limit} digits, the interpreter's limit"))
+        for token, message in refused:
+            with pytest.raises(SystemExit) as err:
+                main([a.format(token) for a in argv])
+            captured = capsys.readouterr()
+            assert (err.value.code, captured.out) == (2, "")
+            assert len(captured.err) < 300 and message in captured.err
+        assert main([a.format("+1_0") for a in argv]) in (0, 1)  # int()'s grammar, as before
+        capsys.readouterr()
+
+    @staticmethod
+    def quoted(text):
+        return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+    REFUSALS = {
+        "cf-expand": lambda d, q: (["cf", "expand", f"{d}/0"], f"zero denominator: {q(d + '/0')}"),
+        "cf-list": lambda d, q: (["cf", "eval", f"[{d}"], f"not a bracketed list: {q('[' + d)}"),
+        "cf-terms": lambda d, q: (
+            ["cf", "eval", f"[{d}, 0]"],
+            f"bad continued fraction {q(f'[{d}, 0]')}: continued fraction terms must be nonzero",
+        ),
+        "seifert-form": lambda d, q: (["seifert", "h1", f"X({d})"], f"not a Seifert form: {q(f'X({d})')}"),
+        "seifert-zero": lambda d, q: (["seifert", "h1", f"M(1; {d}/0)"], f"zero multiplicity in token {q(d + '/0')}"),
+        "seifert-terms": lambda d, q: (["seifert", "h1", f"M(2/{d})"], f"fiber {q('2/' + d)} is not in lowest terms"),
+        "slope": lambda d, q: (
+            ["surgery", "1", "2", "3", "--", f"2/{d}"],
+            f"bad slope {q('2/' + d)}: " + (f"slope (2, {d}) is not primitive" if len(d) < 30 else "not primitive"),
+        ),
+        "matrix": lambda d, q: (["slope", "apply", f"1,2,{d}", "1/1"], f"need 4 matrix entries, got {q('1,2,' + d)}"),
+        "cable": lambda d, q: (["cable", "family", f"c{d}", "0"], f"unknown cable case {q('c' + d)}; known: "),
+        "builtin": lambda d, q: (["lo", "check", f"builtin:x{d}:1,2,3"], f"unknown builtin {q('x' + d)}"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refusals_quote_at_most_forty_characters(self, capsys, case):
+        # a short input is named whole, as before; a long one by its first
+        # 40 characters and "..."
+        for digits in ["4", "4" * 4000]:
+            argv, message = self.REFUSALS[case](digits, self.quoted)
+            code, doc = run(capsys, *argv)
+            assert (code, doc["code"]) == (1, "notation-error")
+            assert doc["message"].startswith(message) and len(doc["message"]) < 250
+
+    def test_presentation_refusals_quote_at_most_forty_characters(self, capsys, monkeypatch):
+        zeros = "0" * 4000
+        for text, message in [
+            ("gens: a; rel: a^0", "zero exponent in 'a^0'"),
+            (f"gens: a; rel: a^{zeros}", f"zero exponent in {self.quoted('a^' + zeros)}"),
+            (f"gens: a; rel: 1{zeros}", f"bad letter {self.quoted('1' + zeros)}"),
+            (f"gens: a; x{zeros}", f"unrecognized section {self.quoted('x' + zeros)}"),
+        ]:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert run(capsys, "lo", "check", "-") == (
+                1,
+                {"status": "error", "code": "notation-error", "message": message},
+            )
 
 
 class TestParserReuse:

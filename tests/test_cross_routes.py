@@ -5,6 +5,8 @@ share no formula: a group presentation against the Brieskorn formula, and a
 torus-link filling against the Brieskorn formula.
 """
 
+from math import gcd
+
 from seifol.link_surgery import Slope, TorusLinkExterior, fill
 from seifol.presentations import coarse_obstruction, present_two_bridge_cover
 from seifol.seifert import h1_order, normalize, reverse_orientation
@@ -46,18 +48,24 @@ def test_obstructed_sign_search_means_finite_cover():
     assert obstructed == [2, 3]
 
 
-def test_unit_surgery_on_the_trefoil_is_brieskorn():
-    """-1/n and +1/n surgery on the right-handed trefoil give the Brieskorn
-    spheres Sigma(2, 3, 6n + 1) and Sigma(2, 3, 6n - 1), up to orientation
-    (Moser, "Elementary surgery along a torus knot", 1971).  The filling of
-    ``link_surgery`` and the Neumann--Raymond formula of ``torus_covers``
-    must give the same Seifert form or its orientation reversal."""
-    trefoil = TorusLinkExterior(1, 2, 3)
+def test_unit_surgery_on_torus_knots_is_brieskorn():
+    """-1/n and +1/n surgery on the torus knot T(p, q) give the Brieskorn
+    spheres Sigma(p, q, pqn + 1) and Sigma(p, q, pqn - 1), up to orientation
+    (Moser, "Elementary surgery along a torus knot", 1971); for the trefoil
+    T(2, 3) these are Sigma(2, 3, 6n + 1) and Sigma(2, 3, 6n - 1).  The
+    filling of ``link_surgery`` and the Neumann--Raymond formula of
+    ``torus_covers`` must give the same Seifert form or its orientation
+    reversal, for coprime 2 <= p < q <= 11 and n = 1..39."""
     matched = 0
-    for n in range(1, 40):
-        for a, c in [(-1, 6 * n + 1), (1, 6 * n - 1)]:
-            filled = fill(trefoil, [Slope(a, n)])
-            sphere = normalize(brieskorn_invariants(2, 3, c))
-            assert filled in (sphere, reverse_orientation(sphere)), (a, n)
-            matched += 1
-    assert matched == 78
+    for p in range(2, 12):
+        for q in range(p + 1, 12):
+            if gcd(p, q) != 1:
+                continue
+            knot = TorusLinkExterior(1, p, q)
+            for n in range(1, 40):
+                for a, c in [(-1, p * q * n + 1), (1, p * q * n - 1)]:
+                    filled = fill(knot, [Slope(a, n)])
+                    sphere = normalize(brieskorn_invariants(p, q, c))
+                    assert filled in (sphere, reverse_orientation(sphere)), (p, q, a, n)
+                    matched += 1
+    assert matched == 31 * 39 * 2

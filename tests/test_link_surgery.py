@@ -1,27 +1,30 @@
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seifol.errors import FiberSlopeFilling
 from seifol.foliation import decide_horizontal, has_witness
 from seifol.link_surgery import (
     Slope,
     TorusLinkExterior,
+    base_fibers,
     fill,
     ml_to_mf,
     negative_surgery_is_excellent,
     parse_slope,
     reference_witness,
 )
-from seifol.seifert import h1_order, parse_seifert
+from seifol.seifert import SeifertInvariants, h1_order, normalize, parse_seifert
 
 M = parse_seifert
 
 
 def valid_exteriors(d_max=4, rs_max=5):
-    from math import gcd
-
     for d in range(1, d_max + 1):
         for r in range(1, rs_max + 1):
             for s in range(1, rs_max + 1):
@@ -109,6 +112,23 @@ class TestFill:
         slopes = [Slope(5, 1), Slope(3, 1)]
         direct = fill(ext, [Slope(-5, 1), Slope(-3, 1)])
         assert fill(ext, slopes, mirror=True) == normalize(reverse_orientation(direct))
+
+    @settings(max_examples=50)
+    @given(
+        st.sampled_from(list(valid_exteriors(d_max=3))),
+        st.lists(st.tuples(st.integers(-40, 40), st.integers(-12, 12)), min_size=3, max_size=3),
+    )
+    def test_filled_fibers_match_fraction_reduction(self, ext, pairs):
+        slopes = [Slope(a // gcd(a, c), c // gcd(a, c)) for a, c in pairs[: ext.d] if (a, c) != (0, 0)]
+        assume(len(slopes) == ext.d)
+        fibers = []
+        for sl in slopes:
+            am, c = ml_to_mf(sl, ext.r, ext.s)
+            assume(am != 0)
+            frac = Fraction(-c, am)
+            fibers.append((frac.denominator, frac.numerator))
+        expected = normalize(SeifertInvariants(-1, base_fibers(ext) + tuple(fibers)))
+        assert fill(ext, slopes) == expected
 
     def test_exterior_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seifol.errors import NotationError
 from seifol.foliation import decide_excellence
@@ -34,6 +36,37 @@ def random_invariants(rng):
                 break
         fibers.append((alpha, beta))
     return SeifertInvariants(rng.randint(-5, 5), tuple(fibers))
+
+
+# any coprime pair (alpha, beta) with alpha >= 1, by reducing beta/alpha
+fibers = st.tuples(st.integers(-60, 60), st.integers(1, 30)).map(lambda p: Fraction(*p))
+forms = st.builds(
+    SeifertInvariants,
+    st.integers(-6, 6),
+    st.lists(fibers.map(lambda x: (x.denominator, x.numerator)), max_size=6).map(tuple),
+)
+
+
+class TestAgainstFractionFormulas:
+    """The integer Euler number, the one-step reversal and the early return
+    of ``normalize``, each against the formula it replaced."""
+
+    @settings(max_examples=50)
+    @given(forms)
+    def test_h1_order_is_abs_euler_times_product(self, si):
+        e = si.b + sum(Fraction(beta, alpha) for alpha, beta in si.fibers)
+        order = abs(e) * prod(alpha for alpha, _ in si.fibers)
+        assert euler_number(si) == e
+        assert h1_order(si) == (H1Order.finite(int(order)) if e else H1Order.infinite()) == h1_order_snf(si)
+
+    @settings(max_examples=50)
+    @given(forms)
+    def test_normal_forms_are_kept_and_reversed_in_one_step(self, si):
+        nsi = normalize(si)
+        assert nsi.normalized and list(nsi.fibers) == sorted(nsi.fibers)
+        assert normalize(nsi) is nsi
+        negated = SeifertInvariants(-nsi.b, tuple((alpha, -beta) for alpha, beta in nsi.fibers))
+        assert reverse_orientation(nsi) == normalize(negated)
 
 
 class TestNormalize:

@@ -2,15 +2,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seifol import torus_covers
 from seifol.foliation import decide_excellence, decide_horizontal
-from seifol.seifert import euler_number, h1_order, normalize, parse_seifert, reverse_orientation
+from seifol.seifert import SeifertInvariants, euler_number, h1_order, normalize, parse_seifert, reverse_orientation
 from seifol.torus_covers import (
     CONSISTENT,
     NOT_COMPUTABLE,
     TorusCoverQuery,
     branched_invariants,
+    brieskorn_invariants,
     classify_torus_cover,
     cross_validate,
     crosscheck_sweep,
@@ -157,6 +160,12 @@ class TestBranchedInvariants:
             if a.known:
                 assert a.invariants == b.invariants
 
+    @settings(max_examples=50)
+    @given(st.integers(2, 60), st.integers(2, 60), st.integers(2, 60))
+    def test_brieskorn_form_is_already_normal(self, a1, a2, a3):
+        si = brieskorn_invariants(a1, a2, a3)
+        assert normalize(si) is si
+
     def test_divisor_agrees_with_published_table(self):
         # both routes must give identical normalized invariants
         cases = [(3, 3, 2)] + [(2, 2, q) for q in (3, 5, 7, 9)] + [(2, 4, 3)]
@@ -221,6 +230,21 @@ class TestCrossValidation:
         report = crosscheck_sweep(9, 9, 9)
         assert report["queries"] == 152
         assert len(calls) == 152 and len(set(calls)) == 152
+
+    def test_sweep_builds_at_most_two_forms_per_computable_query(self, monkeypatch):
+        # an operation count, not a timing: the cover's form, and its
+        # reversal when condition 3 is tried; nothing is normalized twice
+        built = []
+        post_init = SeifertInvariants.__post_init__
+
+        def counting(si):
+            built.append(si)
+            post_init(si)
+
+        monkeypatch.setattr(SeifertInvariants, "__post_init__", counting)
+        report = crosscheck_sweep(9, 9, 9)
+        assert report["computable"] == 146
+        assert 0 < len(built) <= 2 * report["computable"]
 
     def test_four_fold_two_seven(self):
         r = branched_invariants(TorusCoverQuery(4, 2, 7))
