@@ -38,7 +38,6 @@ from .gluing import (
     fixed_unit_fraction_slopes,
     get_cable_row,
     load_cable_rows,
-    swap_basis,
     whitehead_gluing_matrix,
 )
 from .link_surgery import (
@@ -47,7 +46,6 @@ from .link_surgery import (
     fill,
     ml_to_mf,
     negative_surgery_is_excellent,
-    reference_witness,
 )
 from .presentations import (
     GroupPresentation,
@@ -57,11 +55,9 @@ from .presentations import (
     present_two_bridge_cover,
     pretzel_exterior_relators,
     pretzel_surgery_description,
-    sign_profile,
 )
 from .rationals import (
     ContinuedFraction,
-    Rational,
     cf_eval,
     cf_expand,
     parse_rational,
@@ -104,7 +100,6 @@ __all__ = [
     "NoEvenExpansion",
     "NotationError",
     "ObstructionReport",
-    "Rational",
     "SeifertInvariants",
     "SeifolError",
     "Slope",
@@ -147,10 +142,7 @@ __all__ = [
     "present_two_bridge_cover",
     "pretzel_exterior_relators",
     "pretzel_surgery_description",
-    "reference_witness",
     "reverse_orientation",
-    "sign_profile",
-    "swap_basis",
     "verify_witness",
     "whitehead_gluing_matrix",
 ]

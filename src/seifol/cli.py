@@ -141,7 +141,7 @@ def _cmd_invariants(args):
     qr = torus_covers.parse_query(args.n, args.p, args.q)
     fibers = 1 + gcd(qr.n, qr.p) + gcd(qr.n, qr.q)
     if fibers > FIBER_CAP:
-        raise SeifolError(f"{fibers} fibers exceeds cap {FIBER_CAP}")
+        raise SeifolError(f"{rationals.quoted_int(fibers)} fibers exceeds cap {FIBER_CAP}")
     result = torus_covers.branched_invariants(qr)
     if not result.known:
         return {"known": False}
@@ -157,7 +157,7 @@ def _cmd_crosscheck(args):
     n_max, p_max, q_max = args.sweep
     bound = max(args.sweep)
     if bound > SWEEP_CAP:
-        raise SeifolError(f"sweep bound {bound} exceeds cap {SWEEP_CAP}")
+        raise SeifolError(f"sweep bound {rationals.quoted_int(bound)} exceeds cap {SWEEP_CAP}")
     return torus_covers.crosscheck_sweep(n_max, p_max, q_max)
 
 
@@ -199,7 +199,7 @@ def _cmd_slope_compose(args):
 def _cmd_slope_fixed(args):
     f = _parse_matrix(args.matrix)
     fixed = gluing.fixed_unit_fraction_slopes(f)
-    if isinstance(fixed, gluing.AllIntegers):
+    if fixed is gluing.ALL_INTEGERS:
         return {"fixed": "all"}
     return {"fixed": sorted(fixed)}
 
@@ -216,7 +216,7 @@ def _cmd_cable_check(args):
     row = gluing.get_cable_row(args.case)
     width = min(args.kmax, row.k_max) - args.kmin + 1
     if width > CABLE_WINDOW_CAP:
-        raise SeifolError(f"window of {width} values exceeds cap {CABLE_WINDOW_CAP}")
+        raise SeifolError(f"window of {rationals.quoted_int(width)} values exceeds cap {CABLE_WINDOW_CAP}")
     report = gluing.cable_family_check(row, args.kmin, args.kmax)
     return {"checked": report.checked, "failures": report.failures, "ok": report.ok}
 
@@ -236,10 +236,10 @@ def _builtin_cover(family: str, params) -> presentations.GroupPresentation:
     cap = presentations.GENERATOR_CAP
     if family == "twobridge" and params[2] > cap:
         # n is the generator count; refuse before building n relators
-        raise TooManyGenerators(f"{params[2]} generators exceeds cap {cap}")
+        raise TooManyGenerators(f"{rationals.quoted_int(params[2])} generators exceeds cap {cap}")
     largest = max(params)
     if largest > BUILTIN_PARAMETER_CAP:
-        raise SeifolError(f"{family} parameter {largest} exceeds cap {BUILTIN_PARAMETER_CAP}")
+        raise SeifolError(f"{family} parameter {rationals.quoted_int(largest)} exceeds cap {BUILTIN_PARAMETER_CAP}")
     return build(*params)
 
 
@@ -272,7 +272,7 @@ def _cmd_lo_check(args):
 
 def _cmd_pretzel_surgery(args):
     if args.n > STRAND_CAP:
-        raise SeifolError(f"{args.n} strands exceeds cap {STRAND_CAP}")
+        raise SeifolError(f"{rationals.quoted_int(args.n)} strands exceeds cap {STRAND_CAP}")
     desc = presentations.pretzel_surgery_description(args.n, args.k, args.l, args.sign)
     return {
         "strands": desc.strands,

@@ -8,7 +8,11 @@ reduction fixes the sign by making the second coordinate nonnegative.
 Named matrices from the satellite decompositions come in two ordered
 bases.  The cable gluing matrix ``[[1, 0], [2r+1, -1]]`` is derived in the
 (longitude, meridian) order, while the doubling matrix ``[[-2, 1], [-3, 2]]``
-is in (meridian, longitude) order; ``swap_basis`` converts between the two.
+is in (meridian, longitude) order; conjugating by the swap ``[[0, 1], [1, 0]]``
+converts between the two.
+
+``fill_piece`` is the one place where a slope becomes a fiber; torus-link
+surgery (``link_surgery.fill``) and the cable families both fill through it.
 
 Cable families: filling the branched-cover complement of the companion
 along a one-parameter family of lifted slopes yields Seifert invariants
@@ -21,12 +25,11 @@ horizontal range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateParameter, NotationError
 from .foliation import decide_horizontal
-from .rationals import quoted
+from .rationals import quoted, quoted_int
 from .seifert import SeifertInvariants, normalize, reverse_orientation
 
 
@@ -39,7 +42,7 @@ class SlopeMap:
 
     def __post_init__(self):
         if self.det not in (1, -1):
-            raise ValueError(f"slope map must have determinant +/-1, got {self.det}")
+            raise ValueError(f"slope map must have determinant +/-1, got {quoted_int(self.det)}")
 
     @property
     def det(self) -> int:
@@ -83,6 +86,19 @@ def apply_slope_map(f: SlopeMap, slope: tuple[int, int]) -> tuple[int, int]:
     return reduce_slope((f.m11 * a + f.m12 * c, f.m21 * a + f.m22 * c))
 
 
+def fill_piece(b: int, fibers, slopes) -> SeifertInvariants:
+    """Normalized invariants of the Seifert piece M(b; fibers) over the disk,
+    one boundary torus filled along each slope.
+
+    A slope (alpha, beta) in (section, fiber) coordinates adds the fiber
+    beta/alpha, reduced with alpha >= 0.  The fiber slope alpha = 0 would add
+    a fiber of multiplicity 0, which ``SeifertInvariants`` refuses; callers
+    refuse it first, each with its own error.
+    """
+    filled = tuple(reduce_slope((beta, alpha))[::-1] for alpha, beta in slopes)
+    return normalize(SeifertInvariants(b, tuple(fibers) + filled))
+
+
 def compose_slope_maps(maps) -> SlopeMap:
     """Composite of the maps listed in application order (first applied first)."""
     maps = tuple(maps)
@@ -94,21 +110,9 @@ def compose_slope_maps(maps) -> SlopeMap:
     return out
 
 
-def swap_basis(f: SlopeMap) -> SlopeMap:
-    """Conjugate by the basis swap, converting between the two coordinate
-    orders of a boundary torus."""
-    return SlopeMap(f.m22, f.m21, f.m12, f.m11)
-
-
 class AllIntegers:
-    """Symbolic value: every integer qualifies."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Symbolic value: every integer qualifies.  ``ALL_INTEGERS`` is the one
+    instance."""
 
     def __repr__(self):
         return "All"
@@ -145,28 +149,10 @@ def cable_gluing_matrix(p: int) -> SlopeMap:
     return SlopeMap(1, 0, p, -1)
 
 
-def cable_composition_factors(r: int) -> tuple[SlopeMap, SlopeMap, SlopeMap]:
-    """The factors A, B, A^-1 whose application-order composite is the cable
-    gluing matrix for p = 2r + 1."""
-    a = SlopeMap(r + 1, -1, -r, 1)
-    b = SlopeMap(0, 1, 1, 0)
-    return a, b, a.inverse()
-
-
 def whitehead_gluing_matrix() -> SlopeMap:
     """Gluing between two companion copies in a cyclic branched cover of an
     untwisted double, in the (meridian, longitude) ordered basis."""
     return SlopeMap(-2, 1, -3, 2)
-
-
-def whitehead_composition_factors() -> tuple[SlopeMap, SlopeMap, SlopeMap]:
-    """Application-order factors of the doubling matrix: rewrite boundary
-    coordinates into the clasp-link basis (meridian m, zero-framed
-    longitude b), swap the two components, and rewrite back."""
-    into_clasp = SlopeMap(-2, 1, 1, 0)  # mu -> -2m + b, lambda -> m
-    swap = SlopeMap(0, 1, 1, 0)  # m <-> b
-    back = SlopeMap(0, 1, 1, 2)  # m -> lambda, b -> mu + 2 lambda
-    return into_clasp, swap, back
 
 
 @dataclass(frozen=True)
@@ -237,24 +223,14 @@ def get_cable_row(label: str) -> CableCaseRow:
     return _CABLE_ROW_BY_LABEL[label]
 
 
-def cable_family_fiber(row: CableCaseRow, k: int) -> Fraction:
+def cable_family_invariants(row: CableCaseRow, k: int) -> SeifertInvariants:
+    """Normalized invariants of the family member at parameter k: the row's
+    piece filled along the slope (den(k), num(k)), ``count`` times."""
     num = row.num[0] * k + row.num[1]
     den = row.den[0] * k + row.den[1]
     if den == 0:
         raise DegenerateParameter(f"{row.label}: fiber undefined at k = {k}")
-    return Fraction(num, den)
-
-
-def cable_family_raw(row: CableCaseRow, k: int) -> SeifertInvariants:
-    """Assembled invariants before normalization, as displayed."""
-    frac = cable_family_fiber(row, k)
-    fiber = (frac.denominator, frac.numerator)
-    return SeifertInvariants(row.b, row.base_fibers + (fiber,) * row.count)
-
-
-def cable_family_invariants(row: CableCaseRow, k: int) -> SeifertInvariants:
-    """Normalized invariants of the family member at parameter k."""
-    si = normalize(cable_family_raw(row, k))
+    si = fill_piece(row.b, row.base_fibers, ((den, num),) * row.count)
     if len(si.fibers) < 3:
         raise DegenerateParameter(
             f"{row.label}: k = {k} collapses to {len(si.fibers)} exceptional fibers"

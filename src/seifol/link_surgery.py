@@ -4,7 +4,7 @@ The exterior of the (dr, ds) torus link, with the d components realized
 as parallel regular fibers of a Seifert fibration of the three-sphere, is
 filled along one slope per component.  In the meridian-fiber basis the
 fiber slope is excluded; every other multislope yields a Seifert manifold
-over the two-sphere whose invariants are written down directly.
+over the two-sphere, filled by ``gluing.fill_piece``.
 
 Slopes are primitive integer pairs ``(a, c)`` in the meridian-longitude
 basis; ``a/c``-notation puts the meridian coefficient first.  The longitude
@@ -18,8 +18,9 @@ from math import gcd
 
 from .errors import FiberSlopeFilling, NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
-from .rationals import QUOTE_CHARS, parse_fraction, quoted
-from .seifert import SeifertInvariants, normalize, reverse_orientation, torus_fiber_betas
+from .gluing import fill_piece
+from .rationals import QUOTE_CHARS, parse_fraction, quoted, quoted_int
+from .seifert import SeifertInvariants, reverse_orientation, torus_fiber_betas
 
 @dataclass(frozen=True)
 class Slope:
@@ -64,7 +65,7 @@ class TorusLinkExterior:
         if self.d < 1 or self.r < 1 or self.s < 1:
             raise ValueError("component count and torus parameters must be positive")
         if gcd(self.r, self.s) != 1:
-            raise ValueError(f"r = {self.r} and s = {self.s} must be coprime")
+            raise ValueError(f"r = {quoted_int(self.r)} and s = {quoted_int(self.s)} must be coprime")
         if self.d == 1 and (self.r < 2 or self.s < 2):
             raise ValueError("a single component requires r, s >= 2")
         if self.r == 1 and self.s == 1 and self.d < 3:
@@ -89,26 +90,26 @@ def base_fibers(ext: TorusLinkExterior) -> tuple[tuple[int, int], ...]:
 def fill(ext: TorusLinkExterior, slopes, mirror: bool = False) -> SeifertInvariants:
     """Normalized invariants of the filled exterior.
 
-    One meridian-longitude slope per component.  A slope with
-    ``a - c*r*s = 0`` runs along the fiber and is rejected: that filling is
-    not covered by this recipe.  With ``mirror=True`` the surgery is done on
-    the mirror link, computed by negating every slope and reversing the
-    orientation of the result.
+    One meridian-longitude slope per component; a*mu + c*lambda is the slope
+    (a - c*r*s, -c) of ``fill_piece``.  A slope with ``a - c*r*s = 0`` runs
+    along the fiber and is rejected: that filling is not covered by this
+    recipe.  With ``mirror=True`` the surgery is done on the mirror link,
+    computed by negating every slope and reversing the orientation of the
+    result.
     """
     slopes = tuple(slopes)
     if len(slopes) != ext.d:
-        raise ValueError(f"expected {ext.d} slopes, got {len(slopes)}")
+        raise ValueError(f"expected {quoted_int(ext.d)} slopes, got {len(slopes)}")
     if mirror:
         flipped = tuple(Slope(-sl.a, sl.c) for sl in slopes)
         return reverse_orientation(fill(ext, flipped))
-    filled = []
+    filling = []
     for sl in slopes:
         am, c = ml_to_mf(sl, ext.r, ext.s)
         if am == 0:
             raise FiberSlopeFilling(f"slope {sl} is the fiber slope of T({ext.d * ext.r},{ext.d * ext.s})")
-        # gcd(a - c*r*s, c) = gcd(a, c) = 1, so -c/am is already reduced
-        filled.append((abs(am), -c if am > 0 else c))
-    return normalize(SeifertInvariants(-1, base_fibers(ext) + tuple(filled)))
+        filling.append((am, -c))
+    return fill_piece(-1, base_fibers(ext), filling)
 
 
 def negative_surgery_is_excellent(ext: TorusLinkExterior, ks) -> ExcellenceVerdict:
@@ -119,12 +120,3 @@ def negative_surgery_is_excellent(ext: TorusLinkExterior, ks) -> ExcellenceVerdi
     if any(k < 2 for k in ks):
         raise ValueError("surgery coefficients must be at least 2")
     return decide_excellence(fill(ext, tuple(Slope(-k, 1) for k in ks)))
-
-
-def reference_witness(r: int, s: int) -> tuple[int, int]:
-    """The pair (m, a) = (rs + 1, beta_2 r + 1) that always validates the
-    negative-surgery fillings when r, s >= 2."""
-    if r < 2 or s < 2:
-        raise ValueError("reference witness needs r, s >= 2")
-    _, beta2 = torus_fiber_betas(r, s)
-    return r * s + 1, beta2 * r + 1

@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import IndivisibleSurgery, NotationError, TooManyGenerators
-from .rationals import parse_int, quoted
+from .rationals import parse_int, quoted, quoted_int
 from .snf import cokernel_order
 from .words import Word
 
 PLUS = "+"
 MINUS = "-"
-MIXED = "mixed"
-ABSENT = "absent"
 
 GENERATOR_CAP = 24
 
@@ -43,7 +41,7 @@ class GroupPresentation:
         for rel in self.relators:
             undeclared = rel.generators() - declared
             if undeclared:
-                raise ValueError(f"relator uses undeclared generators {sorted(undeclared)}")
+                raise ValueError(f"relator uses undeclared generators {quoted(' '.join(sorted(undeclared)))}")
 
     def abelianization_matrix(self) -> list[list[int]]:
         return [[rel.exponent_sum(g) for g in self.generators] for rel in self.relators]
@@ -52,22 +50,6 @@ class GroupPresentation:
         """Order of the abelianized group, as the cokernel order of the exponent-sum
         matrix (:func:`seifol.snf.cokernel_order`); None if infinite."""
         return cokernel_order(self.abelianization_matrix(), len(self.generators))
-
-
-def sign_profile(rel: Word, generators) -> dict[str, str]:
-    """Per-generator exponent signs in one relator: "+", "-", "mixed" or "absent"."""
-    out = {}
-    for g in generators:
-        signs = {e > 0 for gg, e in rel.letters if gg == g}
-        if not signs:
-            out[g] = ABSENT
-        elif signs == {True}:
-            out[g] = PLUS
-        elif signs == {False}:
-            out[g] = MINUS
-        else:
-            out[g] = MIXED
-    return out
 
 
 @dataclass(frozen=True)
@@ -141,11 +123,11 @@ def coarse_obstruction(pres: GroupPresentation) -> ObstructionReport:
     return ObstructionReport(not survivors, 1 << n, survivors)
 
 
-def present_two_bridge_cover(k: int, l: int, n: int, names=None) -> GroupPresentation:
+def present_two_bridge_cover(k: int, l: int, n: int) -> GroupPresentation:
     """Fundamental group of the n-fold cyclic branched cover of the
     two-bridge knot with bracket expansion [2l, -2k].
 
-    Generators x_0 ... x_{n-1} (or ``names``); for each i mod n the relator
+    Generators x_0 ... x_{n-1}; for each i mod n the relator
 
         (x_i^-k x_{i+1}^k)^l (x_{i+2}^-k x_{i+1}^k)^(l-1) (x_{i+2}^-k x_{i+1}^(k-1))
 
@@ -155,12 +137,7 @@ def present_two_bridge_cover(k: int, l: int, n: int, names=None) -> GroupPresent
         raise ValueError("twist parameters must be positive")
     if n < 2:
         raise ValueError("cover order must be at least 2")
-    if names is None:
-        names = tuple(f"x{i}" for i in range(n))
-    else:
-        names = tuple(names)
-        if len(names) != n:
-            raise ValueError(f"need {n} generator names, got {len(names)}")
+    names = tuple(f"x{i}" for i in range(n))
     relators = []
     for i in range(n):
         xi, xi1, xi2 = names[i], names[(i + 1) % n], names[(i + 2) % n]
@@ -252,7 +229,7 @@ def pretzel_surgery_description(n: int, k: int, l: int, sign: str) -> PretzelSur
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     if (2 * k + 1) % n != 0:
-        raise IndivisibleSurgery(f"{n} does not divide 2k+1 = {2 * k + 1}")
+        raise IndivisibleSurgery(f"{quoted_int(n)} does not divide 2k+1 = {quoted_int(2 * k + 1)}")
     d = (2 * k + 1) // n
     coeff = Fraction(1, d) if sign == "+" else Fraction(-1, d)
     return PretzelSurgery(((2 * l + 1),) * n, coeff, sign == "+")

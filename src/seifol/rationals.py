@@ -1,8 +1,7 @@
 """Exact rational numbers, the number reader, and continued fractions.
 
 All arithmetic in this package is exact; floating point is never used.
-``Rational`` is an alias of the stdlib ``fractions.Fraction``, exported as
-``seifol.Rational``; the other modules use ``Fraction`` directly.
+Rationals are the stdlib ``fractions.Fraction``.
 
 Every number read from text goes through ``parse_int`` or ``parse_fraction``:
 Python's ``int()`` grammar, and one short ``NotationError`` for a malformed or
@@ -23,8 +22,6 @@ from fractions import Fraction
 
 from .errors import DegenerateExpansion, NoEvenExpansion, NotationError
 
-Rational = Fraction
-
 CANONICAL_POSITIVE = "canonical-positive"
 EVEN_TERMS = "even-terms"
 # the most characters of an input that a refusal repeats
@@ -35,6 +32,20 @@ def quoted(text: str) -> str:
     """How a refusal names its input: the ``repr`` of at most the first
     ``QUOTE_CHARS`` characters, followed by ``...`` when cut."""
     return f"{text[:QUOTE_CHARS]!r}{'...' if len(text) > QUOTE_CHARS else ''}"
+
+
+def quoted_int(n: int) -> str:
+    """How a refusal names an integer: all of it up to ``QUOTE_CHARS``
+    digits, else its first ``QUOTE_CHARS`` digits followed by ``...``.  A
+    longer integer is cut by division before it is printed, so this works
+    past the interpreter's digit limit for ``str``."""
+    size = abs(n)
+    if size < 10**QUOTE_CHARS:
+        return str(n)
+    # log10(2) > 0.301029995, so 10**low <= 2**(bit_length - 1) <= |n|
+    low = (size.bit_length() - 1) * 301029995 // 10**9
+    head = str(size // 10 ** (low - QUOTE_CHARS + 1))
+    return f"{'-' if n < 0 else ''}{head[:QUOTE_CHARS]}..."
 
 
 def parse_int(text: str) -> int:
@@ -54,7 +65,7 @@ def parse_fraction(text: str) -> tuple[int, int | None]:
     return parse_int(num), parse_int(den) if slash else None
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse ``"a/b"`` or ``"a"`` into an exact rational."""
     num, den = parse_fraction(text)
     if den == 0:
@@ -96,7 +107,7 @@ def parse_continued_fraction(text: str) -> ContinuedFraction:
         raise NotationError(f"bad continued fraction {quoted(text)}: {exc}") from exc
 
 
-def cf_eval(cf: ContinuedFraction) -> Rational:
+def cf_eval(cf: ContinuedFraction) -> Fraction:
     """Evaluate a continued fraction to the exact rational it represents.
 
     Raises DegenerateExpansion if a tail evaluates to zero, which would
@@ -105,12 +116,21 @@ def cf_eval(cf: ContinuedFraction) -> Rational:
     value = Fraction(cf.terms[-1])
     for p in reversed(cf.terms[:-1]):
         if value == 0:
-            raise DegenerateExpansion(f"zero intermediate denominator in {cf}")
+            text = ",".join(quoted_int(t) for t in cf.terms)
+            cut = "..." if len(text) > QUOTE_CHARS else ""
+            raise DegenerateExpansion(f"zero intermediate denominator in [{text[:QUOTE_CHARS]}{cut}]")
         value = p + 1 / value
     return value
 
 
-def cf_expand(r: Rational, policy: str = CANONICAL_POSITIVE) -> ContinuedFraction:
+def _quoted_fraction(r: Fraction) -> str:
+    """``str(r)`` with each integer quoted by ``quoted_int``."""
+    if r.denominator == 1:
+        return quoted_int(r.numerator)
+    return f"{quoted_int(r.numerator)}/{quoted_int(r.denominator)}"
+
+
+def cf_expand(r: Fraction, policy: str = CANONICAL_POSITIVE) -> ContinuedFraction:
     """Expand a rational into a continued fraction under the given policy.
 
     canonical-positive is greedy floor division.  Values in [0, 1) have no
@@ -125,13 +145,13 @@ def cf_expand(r: Rational, policy: str = CANONICAL_POSITIVE) -> ContinuedFractio
     if policy == CANONICAL_POSITIVE:
         if 0 <= r < 1:
             raise DegenerateExpansion(
-                f"{r} lies in [0, 1); greedy expansion would need a zero leading term"
+                f"{_quoted_fraction(r)} lies in [0, 1); greedy expansion would need a zero leading term"
             )
     elif policy == EVEN_TERMS:
         if a % 2 == 1 and b % 2 == 1:
-            raise NoEvenExpansion(f"{r} has odd numerator and denominator")
+            raise NoEvenExpansion(f"{_quoted_fraction(r)} has odd numerator and denominator")
         if -1 < r < 1:
-            raise NoEvenExpansion(f"{r} lies in (-1, 1); all tails of an even expansion exceed 1")
+            raise NoEvenExpansion(f"{_quoted_fraction(r)} lies in (-1, 1); all tails of an even expansion exceed 1")
     else:
         raise ValueError(f"unknown expansion policy {policy!r}")
     terms = []

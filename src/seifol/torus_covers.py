@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 
 from .errors import NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
-from .rationals import parse_int
+from .rationals import parse_int, quoted_int
 from .seifert import SeifertInvariants
 
 CONSISTENT = "Consistent"
@@ -41,7 +41,7 @@ class TorusCoverQuery:
         if self.p < 2 or self.q < 2:
             raise ValueError("torus knot parameters must be at least 2")
         if gcd(self.p, self.q) != 1:
-            raise ValueError(f"p = {self.p} and q = {self.q} must be coprime")
+            raise ValueError(f"p = {quoted_int(self.p)} and q = {quoted_int(self.q)} must be coprime")
 
 
 @dataclass(frozen=True)

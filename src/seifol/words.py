@@ -38,18 +38,11 @@ class Word:
     def __hash__(self):
         return hash(self.letters)
 
-    def __len__(self):
-        """Total letter count, exponents counted with multiplicity."""
-        return sum(abs(e) for _, e in self.letters)
-
     def __bool__(self):
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
-
-    def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def generators(self) -> set:
         return {g for g, _ in self.letters}

@@ -12,21 +12,18 @@ from math import gcd
 
 from seifol.foliation import decide_horizontal, has_witness, witness_search
 from seifol.gluing import (
-    cable_composition_factors,
     cable_family_check,
     compose_slope_maps,
     fixed_unit_fraction_slopes,
     load_cable_rows,
-    whitehead_composition_factors,
     whitehead_gluing_matrix,
 )
-from seifol.link_surgery import Slope, TorusLinkExterior, fill, negative_surgery_is_excellent, reference_witness
+from seifol.link_surgery import Slope, TorusLinkExterior, fill, negative_surgery_is_excellent
 from seifol.presentations import (
     coarse_obstruction,
     present_pretzel_cover,
     present_two_bridge_cover,
     pretzel_exterior_relators,
-    sign_profile,
 )
 from seifol.seifert import (
     SeifertInvariants,
@@ -45,6 +42,7 @@ from seifol.torus_covers import (
     sweep_queries,
 )
 from seifol.words import free_reduce
+from helpers import cable_composition_factors, reference_witness, sign_profile, whitehead_composition_factors
 from torus_cover_oracle import divisor_invariants, special_table_raw
 
 M = parse_seifert

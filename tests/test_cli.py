@@ -561,9 +561,85 @@ class TestErrorHandling:
             assert (code, doc["code"]) == (1, "notation-error")
             assert doc["message"].startswith(message) and len(doc["message"]) < 250
 
+    @staticmethod
+    def cut(digits):
+        return digits[:40] + ("..." if len(digits) > 40 else "")
+
+    # (argv, error code, message) for the digit string d; c cuts a number
+    NUMBER_REFUSALS = {
+        "coprime-pq": lambda d, c: (
+            ["classify", "2", d, d], "notation-error", f"p = {c(d)} and q = {c(d)} must be coprime"
+        ),
+        "coprime-rs": lambda d, c: (
+            ["surgery", "1", d, d, "1/1"], "domain-error", f"r = {c(d)} and s = {c(d)} must be coprime"
+        ),
+        "slope-count": lambda d, c: (["surgery", d, "2", "3", "1/1"], "domain-error", f"expected {c(d)} slopes, got 1"),
+        # (3...3)^2 - 1 starts with forty ones once d has more than 40 digits
+        "determinant": lambda d, c: (
+            ["slope", "apply", f"1,{d},{d},1", "1/1"],
+            "notation-error",
+            f"slope map must have determinant +/-1, got -{c('1' * 80) if len(d) > 40 else int(d) ** 2 - 1}",
+        ),
+        "indivisible": lambda d, c: (
+            ["pretzel-surgery", "3", d, "1", "+"],
+            "indivisible-surgery",
+            f"3 does not divide 2k+1 = {c('6' * (len(d) - 1) + '7')}",
+        ),
+        "strands": lambda d, c: (
+            ["pretzel-surgery", d, "1", "1", "+"], "domain-error", f"{c(d)} strands exceeds cap 1000"
+        ),
+        "parameter": lambda d, c: (
+            ["present", "pretzel", "1", "1", d], "domain-error", f"pretzel parameter {c(d)} exceeds cap 1000"
+        ),
+        "generators": lambda d, c: (
+            ["present", "twobridge", "1", "1", d], "too-many-generators", f"{c(d)} generators exceeds cap 24"
+        ),
+        "builtin": lambda d, c: (
+            ["lo", "check", f"builtin:twobridge:1,1,{d}"], "too-many-generators", f"{c(d)} generators exceeds cap 24"
+        ),
+        "window": lambda d, c: (
+            ["cable", "check", "c235", "-" + d, "0"],
+            "domain-error",
+            f"window of {c(d[:-1] + '4')} values exceeds cap 1000",
+        ),
+        "sweep": lambda d, c: (
+            ["crosscheck", "--sweep", d, "2", "2"], "domain-error", f"sweep bound {c(d)} exceeds cap 30"
+        ),
+        "fibers": lambda d, c: (
+            ["invariants", d, d, "2"], "domain-error", f"{c(d[:-1] + '5')} fibers exceeds cap 2000"
+        ),
+        "cf-expand": lambda d, c: (
+            ["cf", "expand", f"1/{d}"],
+            "degenerate-expansion",
+            f"1/{c(d)} lies in [0, 1); greedy expansion would need a zero leading term",
+        ),
+        "cf-eval": lambda d, c: (
+            ["cf", "eval", f"[{d},1,-1]"],
+            "degenerate-expansion",
+            f"zero intermediate denominator in [{c(d + ',1,-1')}]",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", NUMBER_REFUSALS)
+    def test_number_refusals_name_at_most_forty_digits(self, capsys, case):
+        # up to 40 digits a number is named whole, as before; past that by
+        # its first 40 digits and "...", with no str() of the whole integer
+        for digits in ["3333", "3" * 4000]:
+            argv, error, message = self.NUMBER_REFUSALS[case](digits, self.cut)
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert (code, json.loads(out)) == (1, {"status": "error", "code": error, "message": message})
+            assert len(out) < 300
+
     def test_presentation_refusals_quote_at_most_forty_characters(self, capsys, monkeypatch):
         zeros = "0" * 4000
+        names = [f"u{i}" for i in range(500)]
         for text, message in [
+            ("gens: a; rel: a b", "relator uses undeclared generators 'b'"),
+            (
+                f"gens: a; rel: {' '.join(names)}",
+                f"relator uses undeclared generators {self.quoted(' '.join(sorted(names)))}",
+            ),
             ("gens: a; rel: a^0", "zero exponent in 'a^0'"),
             (f"gens: a; rel: a^{zeros}", f"zero exponent in {self.quoted('a^' + zeros)}"),
             (f"gens: a; rel: 1{zeros}", f"bad letter {self.quoted('1' + zeros)}"),

@@ -1,12 +1,14 @@
 """Cross-route identities: one manifold reached through two modules.
 
 Each test computes the same invariant of the same manifold by routes that
-share no formula: a group presentation against the Brieskorn formula, and a
-torus-link filling against the Brieskorn formula.
+share no formula: a group presentation against the Brieskorn formula, a
+torus-link filling against the Brieskorn formula, and the verdict on a
+torus-knot surgery against the Ozsvath--Szabo L-space threshold.
 """
 
 from math import gcd
 
+from seifol.foliation import decide_excellence
 from seifol.link_surgery import Slope, TorusLinkExterior, fill
 from seifol.presentations import coarse_obstruction, present_two_bridge_cover
 from seifol.seifert import h1_order, normalize, reverse_orientation
@@ -69,3 +71,30 @@ def test_unit_surgery_on_torus_knots_is_brieskorn():
                     assert filled in (sphere, reverse_orientation(sphere)), (p, q, a, n)
                     matched += 1
     assert matched == 31 * 39 * 2
+
+
+def test_torus_knot_surgery_is_an_l_space_past_the_threshold():
+    """a/c surgery on the torus knot T(r, s), an L-space knot of genus
+    g = (r - 1)(s - 1)/2, is an L-space iff a/c >= 2g - 1 = rs - r - s, and
+    surgery on its mirror iff a/c <= -(rs - r - s) (Ozsvath--Szabo, "Knot
+    Floer homology and rational surgeries", 2011).  For Seifert manifolds an
+    L-space is exactly a total L-space, so the verdict on ``fill`` must
+    switch at the threshold, for coprime 2 <= r < s <= 7, 1 <= c <= 4 and
+    |a| <= 40; the fiber slope a/c = +/-rs is not a Seifert filling."""
+    checked = 0
+    for r in range(2, 8):
+        for s in range(r + 1, 8):
+            if gcd(r, s) != 1:
+                continue
+            knot, threshold = TorusLinkExterior(1, r, s), r * s - r - s
+            for c in range(1, 5):
+                for a in range(-40, 41):
+                    if gcd(a, c) != 1:
+                        continue
+                    for mirror, sign in ((False, 1), (True, -1)):
+                        if sign * a == c * r * s:
+                            continue
+                        verdict = decide_excellence(fill(knot, [Slope(a, c)], mirror=mirror))
+                        assert (verdict.kind == "TotalLSpace") == (sign * a >= c * threshold), (r, s, a, c, mirror)
+                        checked += 1
+    assert checked == 4710

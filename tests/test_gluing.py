@@ -12,21 +12,19 @@ from seifol.gluing import (
     ALL_INTEGERS,
     SlopeMap,
     apply_slope_map,
-    cable_composition_factors,
     cable_family_check,
     cable_family_invariants,
-    cable_family_raw,
     cable_gluing_matrix,
     compose_slope_maps,
     fixed_unit_fraction_slopes,
     get_cable_row,
     load_cable_rows,
     reduce_slope,
-    swap_basis,
-    whitehead_composition_factors,
     whitehead_gluing_matrix,
 )
-from seifol.seifert import normalize, parse_seifert
+from seifol.seifert import SeifertInvariants, normalize, parse_seifert, reverse_orientation
+
+from helpers import cable_composition_factors, swap_basis, whitehead_composition_factors
 
 M = parse_seifert
 
@@ -169,8 +167,29 @@ class TestCableFamilies:
 
     def test_family_235_at_zero(self):
         row = get_cable_row("c235")
-        assert cable_family_raw(row, 0) == M("M(1, -1/2, -1/5, -3/10)")
         assert cable_family_invariants(row, 0) == normalize(M("M(1, -1/2, -1/5, -3/10)"))
+
+    def test_invariants_match_fraction_assembly(self):
+        # the recipe fill_piece replaced: the fiber f(k) as a reduced
+        # Fraction, assembled, normalized, and reversed where the row says so
+        checked = 0
+        for row in load_cable_rows().values():
+            for k in range(-60, 11):
+                num, den = row.num[0] * k + row.num[1], row.den[0] * k + row.den[1]
+                expected = None
+                if den != 0:
+                    f = Fraction(num, den)
+                    fibers = row.base_fibers + ((f.denominator, f.numerator),) * row.count
+                    expected = normalize(SeifertInvariants(row.b, fibers))
+                if expected is None or len(expected.fibers) < 3:
+                    with pytest.raises(DegenerateParameter):
+                        cable_family_invariants(row, k)
+                    continue
+                if row.reversed_:
+                    expected = reverse_orientation(expected)
+                assert cable_family_invariants(row, k) == expected, (row.label, k)
+                checked += 1
+        assert checked > 20 * 60
 
     def test_family_332_second_variant(self):
         row = get_cable_row("c332b")

@@ -17,9 +17,10 @@ from seifol.link_surgery import (
     ml_to_mf,
     negative_surgery_is_excellent,
     parse_slope,
-    reference_witness,
 )
 from seifol.seifert import SeifertInvariants, h1_order, normalize, parse_seifert
+
+from helpers import reference_witness
 
 M = parse_seifert
 

@@ -16,6 +16,7 @@ from seifol.rationals import (
     parse_fraction,
     parse_int,
     parse_rational,
+    quoted_int,
 )
 
 
@@ -141,3 +142,17 @@ def test_number_reader_grammar_is_int():
 def test_number_reader_refusals(text):
     with pytest.raises(NotationError):
         parse_fraction(text)
+
+
+def test_quoted_int_cuts_past_forty_digits():
+    # str() is the oracle below the interpreter's default limit of 4300 digits
+    rng = random.Random(40)
+    for digits in list(range(1, 90)) + [1000, 4000]:
+        for n in (10 ** (digits - 1), 10**digits - 1, rng.randrange(10 ** (digits - 1), 10**digits)):
+            text = str(n)
+            head = text[:40] + ("..." if digits > 40 else "")
+            assert (quoted_int(n), quoted_int(-n)) == (head, "-" + head), n
+    assert quoted_int(0) == "0"
+    # past the limit, where str() of the whole integer would raise
+    assert quoted_int(-(10**5000) - 1) == "-1" + "0" * 39 + "..."
+    assert quoted_int(2**20000) == "3980276840337966592354307206191202453704..."  # 6021 digits
