@@ -15,12 +15,13 @@ code, and a usage error raises ``SystemExit(2)``.  The parser is built once
 per process, on the first call.  The inputs that grow the work by count
 are capped (``CABLE_WINDOW_CAP``, ``SWEEP_CAP``, ``BUILTIN_PARAMETER_CAP``,
 ``STRAND_CAP``, ``FIBER_CAP``) and refused with a ``domain-error`` above the
-cap, before any work is done.  Three shapes still run unbounded: they reach
+cap, before any work is done.  Four shapes still run unbounded: they reach
 the witness scan, quadratic in the largest fiber multiplicity, with no cap.
 They are ``cable family c235 99999999999999999999``,
-``seifert decide "M(-1; 1/2, 2/3, 1/100000007)"`` and
-``surgery 1 2 3 -- 1000000007/1``.  A cap would hide the scan, so they stay
-unbounded until the scan is replaced.
+``seifert decide "M(-1; 1/2, 2/3, 1/100000007)"``,
+``surgery 1 2 3 -- 1000000007/1`` and ``surgery 2 1000000007 1 1/1 1/1``,
+where the large torus parameter is itself a fiber multiplicity.  A cap would
+hide the scan, so they stay unbounded until the scan is replaced.
 """
 
 from __future__ import annotations

@@ -52,10 +52,6 @@ class SlopeMap:
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.m11, self.m12), (self.m21, self.m22))
 
-    @classmethod
-    def identity(cls) -> "SlopeMap":
-        return cls(1, 0, 0, 1)
-
     def __matmul__(self, other: "SlopeMap") -> "SlopeMap":
         return SlopeMap(
             self.m11 * other.m11 + self.m12 * other.m21,
@@ -63,10 +59,6 @@ class SlopeMap:
             self.m21 * other.m11 + self.m22 * other.m21,
             self.m21 * other.m12 + self.m22 * other.m22,
         )
-
-    def inverse(self) -> "SlopeMap":
-        d = self.det
-        return SlopeMap(self.m22 * d, -self.m12 * d, -self.m21 * d, self.m11 * d)
 
 
 def reduce_slope(pair: tuple[int, int]) -> tuple[int, int]:

@@ -1,8 +1,9 @@
 """Dehn fillings of torus-link exteriors along regular fibers.
 
-The exterior of the (dr, ds) torus link, with the d components realized
-as parallel regular fibers of a Seifert fibration of the three-sphere, is
-filled along one slope per component.  In the meridian-fiber basis the
+The exterior of the (dr, ds) torus link is Sigma(r, s, 1), the three-sphere
+fibered by (r, s) torus knots, with d regular fibers drilled out; its form
+is ``torus_covers.brieskorn_invariants(r, s, 1)``, the covers' formula.  It
+is filled along one slope per component.  In the meridian-fiber basis the
 fiber slope is excluded; every other multislope yields a Seifert manifold
 over the two-sphere, filled by ``gluing.fill_piece``.
 
@@ -20,7 +21,8 @@ from .errors import FiberSlopeFilling, NotationError
 from .foliation import ExcellenceVerdict, decide_excellence
 from .gluing import fill_piece
 from .rationals import QUOTE_CHARS, parse_fraction, quoted, quoted_int
-from .seifert import SeifertInvariants, reverse_orientation, torus_fiber_betas
+from .seifert import SeifertInvariants, reverse_orientation
+from .torus_covers import brieskorn_invariants
 
 @dataclass(frozen=True)
 class Slope:
@@ -50,7 +52,8 @@ def parse_slope(text: str) -> Slope:
 
 @dataclass(frozen=True)
 class TorusLinkExterior:
-    """Exterior of the (dr, ds) torus link; gcd(r, s) = 1.
+    """Exterior of the (dr, ds) torus link, gcd(r, s) = 1: Sigma(r, s, 1)
+    with d regular fibers drilled out.
 
     A single component needs r, s >= 2, and the unlink-like case
     r = s = 1 needs at least three components; those hypotheses make the
@@ -78,24 +81,16 @@ def ml_to_mf(sl: Slope, r: int, s: int) -> tuple[int, int]:
     return sl.a - sl.c * r * s, sl.c
 
 
-def base_fibers(ext: TorusLinkExterior) -> tuple[tuple[int, int], ...]:
-    """The fibers beta_1'/r and beta_2/s of the ambient fibration, with
-    beta_1 s + beta_2 r = -1, 0 <= beta_2 < s and beta_1' = beta_1 + r.
-    When r or s is 1 that entry has multiplicity one: a regular fiber,
-    which normalization drops."""
-    beta1, beta2 = torus_fiber_betas(ext.r, ext.s)
-    return ((ext.r, beta1 + ext.r), (ext.s, beta2))
-
-
 def fill(ext: TorusLinkExterior, slopes, mirror: bool = False) -> SeifertInvariants:
     """Normalized invariants of the filled exterior.
 
-    One meridian-longitude slope per component; a*mu + c*lambda is the slope
-    (a - c*r*s, -c) of ``fill_piece``.  A slope with ``a - c*r*s = 0`` runs
-    along the fiber and is rejected: that filling is not covered by this
-    recipe.  With ``mirror=True`` the surgery is done on the mirror link,
-    computed by negating every slope and reversing the orientation of the
-    result.
+    The piece is ``brieskorn_invariants(r, s, 1)``, each component a regular
+    fiber of it.  One meridian-longitude slope per component; a*mu + c*lambda
+    is the slope (a - c*r*s, -c) of ``fill_piece``.  A slope with
+    ``a - c*r*s = 0`` runs along the fiber and is rejected: that filling is
+    not covered by this recipe.  With ``mirror=True`` the surgery is done on
+    the mirror link, computed by negating every slope and reversing the
+    orientation of the result.
     """
     slopes = tuple(slopes)
     if len(slopes) != ext.d:
@@ -109,7 +104,8 @@ def fill(ext: TorusLinkExterior, slopes, mirror: bool = False) -> SeifertInvaria
         if am == 0:
             raise FiberSlopeFilling(f"slope {sl} is the fiber slope of T({ext.d * ext.r},{ext.d * ext.s})")
         filling.append((am, -c))
-    return fill_piece(-1, base_fibers(ext), filling)
+    sphere = brieskorn_invariants(ext.r, ext.s, 1)
+    return fill_piece(sphere.b, sphere.fibers, filling)
 
 
 def negative_surgery_is_excellent(ext: TorusLinkExterior, ks) -> ExcellenceVerdict:

@@ -111,17 +111,6 @@ def reverse_orientation(si: SeifertInvariants) -> SeifertInvariants:
     return SeifertInvariants(-si.b, tuple((a, -be) for a, be in si.fibers))
 
 
-def torus_fiber_betas(r: int, s: int) -> tuple[int, int]:
-    """The numerators (beta_1, beta_2) of the two exceptional fibers
-    beta_1/r and beta_2/s of the fibration of the three-sphere by (r, s)
-    torus knots: beta_1 s + beta_2 r = -1 and 0 <= beta_2 < s, for coprime
-    r and s."""
-    beta2 = (-pow(r, -1, s)) % s
-    beta1, rem = divmod(-1 - beta2 * r, s)
-    assert rem == 0
-    return beta1, beta2
-
-
 def _euler_numerator(si: SeifertInvariants) -> tuple[int, int]:
     """``(N, L)`` with ``e = N / L`` over the common denominator
     ``L = lcm(alpha_i)``, not reduced; e vanishes exactly when N does."""
@@ -204,10 +193,7 @@ def parse_seifert(text: str) -> SeifertInvariants:
         if gcd(den, num) != 1:
             raise NotationError(f"fiber {quoted(tok)} is not in lowest terms")
         fibers.append((den, num))
-    try:
-        return SeifertInvariants(b, tuple(fibers))
-    except ValueError as exc:
-        raise NotationError(str(exc)) from exc
+    return SeifertInvariants(b, tuple(fibers))
 
 
 def format_seifert(si: SeifertInvariants) -> str:

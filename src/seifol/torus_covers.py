@@ -7,7 +7,8 @@ given by one formula of Neumann--Raymond (1978): see
 ``brieskorn_invariants``.  Its base orbifold has genus g with
 2g = (gcd(n, p) - 1)(gcd(n, q) - 1).  Invariants here live over the
 two-sphere, so a cover with g >= 1 is reported as Unsupported (a value,
-not an error).
+not an error).  The three-sphere fibered by (r, s) torus knots is the case
+(r, s, 1), the piece ``link_surgery`` fills.
 
 ``classify_torus_cover`` is the independent route: Milnor's (1975)
 criterion that the fundamental group of the cover is finite iff

@@ -6,11 +6,29 @@ or reads a value in a way the package itself has no use for.
 
 from seifol.gluing import SlopeMap
 from seifol.presentations import MINUS, PLUS
-from seifol.seifert import torus_fiber_betas
 from seifol.words import Word
 
 MIXED = "mixed"
 ABSENT = "absent"
+
+
+def torus_fiber_betas(r: int, s: int) -> tuple[int, int]:
+    """The numerators (beta_1, beta_2) of the exceptional fibers beta_1/r and
+    beta_2/s of the three-sphere fibered by (r, s) torus knots:
+    beta_1 s + beta_2 r = -1 and 0 <= beta_2 < s, for coprime r and s."""
+    beta2 = (-pow(r, -1, s)) % s
+    beta1, rem = divmod(-1 - beta2 * r, s)
+    assert rem == 0
+    return beta1, beta2
+
+
+def base_fibers(r: int, s: int) -> tuple[tuple[int, int], ...]:
+    """The fibers (beta_1 + r)/r and beta_2/s that make M(-1; ...) the
+    three-sphere fibered by (r, s) torus knots: derived by hand, apart from
+    the Neumann--Raymond formula it checks.  An entry of multiplicity one is
+    a regular fiber, which normalization drops."""
+    beta1, beta2 = torus_fiber_betas(r, s)
+    return ((r, beta1 + r), (s, beta2))
 
 
 def reference_witness(r: int, s: int) -> tuple[int, int]:
@@ -42,6 +60,15 @@ def inverse(w: Word) -> Word:
     return Word(tuple((g, -e) for g, e in reversed(w.letters)))
 
 
+def identity_map() -> SlopeMap:
+    return SlopeMap(1, 0, 0, 1)
+
+
+def inverse_map(f: SlopeMap) -> SlopeMap:
+    d = f.det
+    return SlopeMap(f.m22 * d, -f.m12 * d, -f.m21 * d, f.m11 * d)
+
+
 def swap_basis(f: SlopeMap) -> SlopeMap:
     """Conjugate by the basis swap, converting between the two coordinate
     orders of a boundary torus."""
@@ -53,7 +80,7 @@ def cable_composition_factors(r: int) -> tuple[SlopeMap, SlopeMap, SlopeMap]:
     gluing matrix for p = 2r + 1."""
     a = SlopeMap(r + 1, -1, -r, 1)
     b = SlopeMap(0, 1, 1, 0)
-    return a, b, a.inverse()
+    return a, b, inverse_map(a)
 
 
 def whitehead_composition_factors() -> tuple[SlopeMap, SlopeMap, SlopeMap]:

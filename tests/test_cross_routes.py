@@ -1,17 +1,19 @@
 """Cross-route identities: one manifold reached through two modules.
 
-Each test computes the same invariant of the same manifold by routes that
-share no formula: a group presentation against the Brieskorn formula, a
-torus-link filling against the Brieskorn formula, and the verdict on a
-torus-knot surgery against the Ozsvath--Szabo L-space threshold.
+Each test computes the same invariant of the same manifold by two routes:
+a group presentation against the Brieskorn formula, a torus-link filling
+against the Brieskorn formula at another exponent, the verdict on a
+torus-knot surgery against the Ozsvath--Szabo L-space threshold, and the
+hand-typed cable rows against the Brieskorn formula.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from seifol.foliation import decide_excellence
+from seifol.gluing import load_cable_rows
 from seifol.link_surgery import Slope, TorusLinkExterior, fill
 from seifol.presentations import coarse_obstruction, present_two_bridge_cover
-from seifol.seifert import h1_order, normalize, reverse_orientation
+from seifol.seifert import SeifertInvariants, h1_order, normalize, reverse_orientation
 from seifol.torus_covers import TorusCoverQuery, branched_invariants, brieskorn_invariants, classify_torus_cover
 
 
@@ -57,7 +59,9 @@ def test_unit_surgery_on_torus_knots_is_brieskorn():
     T(2, 3) these are Sigma(2, 3, 6n + 1) and Sigma(2, 3, 6n - 1).  The
     filling of ``link_surgery`` and the Neumann--Raymond formula of
     ``torus_covers`` must give the same Seifert form or its orientation
-    reversal, for coprime 2 <= p < q <= 11 and n = 1..39."""
+    reversal, for coprime 2 <= p < q <= 11 and n = 1..39.  The filling
+    starts from the formula at Sigma(p, q, 1), so what this checks is the
+    filling, against the formula at the exponent pqn -/+ 1."""
     matched = 0
     for p in range(2, 12):
         for q in range(p + 1, 12):
@@ -98,3 +102,28 @@ def test_torus_knot_surgery_is_an_l_space_past_the_threshold():
                         assert (verdict.kind == "TotalLSpace") == (sign * a >= c * threshold), (r, s, a, c, mirror)
                         checked += 1
     assert checked == 4710
+
+
+def test_cable_rows_are_brieskorn_pieces():
+    """Each cable row fills ``count`` boundary tori of a Seifert piece, and
+    that piece is a Brieskorn manifold with fibers drilled out.  For the
+    cover (n, p, q), Sigma(n, p, q) has gcd(n, q) fibers of multiplicity
+    lcm(n, p, q) / lcm(n, q) from the exponent p (Neumann--Raymond 1978).
+    The row's ``count`` is gcd(n, q), and its base fibers, normalized, are
+    the fibers of ``brieskorn_invariants(n, p, q)`` minus those; when that
+    multiplicity is 1 they are regular and nothing is removed.  The integer
+    part b follows no single rule: the row's normalized b minus Brieskorn's
+    is -1, 0, 1, 2 or 3 across the rows (0 on the provisional ones), so b
+    is not compared."""
+    rows = load_cable_rows().values()
+    for row in rows:
+        n, p, q = row.cover
+        assert row.count == gcd(n, q), row.label
+        fibers = list(brieskorn_invariants(n, p, q).fibers)
+        lifted = lcm(n, p, q) // lcm(n, q)
+        if lifted > 1:
+            for _ in range(row.count):
+                fibers.remove(next(f for f in fibers if f[0] == lifted))
+        base = normalize(SeifertInvariants(row.b, row.base_fibers))
+        assert base.fibers == tuple(fibers), row.label
+    assert len(rows) == 22

@@ -12,15 +12,15 @@ from seifol.foliation import decide_horizontal, has_witness
 from seifol.link_surgery import (
     Slope,
     TorusLinkExterior,
-    base_fibers,
     fill,
     ml_to_mf,
     negative_surgery_is_excellent,
     parse_slope,
 )
-from seifol.seifert import SeifertInvariants, h1_order, normalize, parse_seifert
+from seifol.seifert import SeifertInvariants, h1_order, normalize, parse_seifert, reverse_orientation
+from seifol.torus_covers import brieskorn_invariants
 
-from helpers import reference_witness
+from helpers import base_fibers, reference_witness
 
 M = parse_seifert
 
@@ -84,10 +84,20 @@ class TestFill:
             fill(TorusLinkExterior(1, 2, 3), [Slope(6, 1)])
 
     def test_meridian_fill_lens_like(self):
-        for ext in valid_exteriors():
-            si = fill(ext, [Slope(1, 0)] * ext.d)
-            assert h1_order(si).order == 1
-            assert len(si.fibers) <= 2
+        # filling every component along its meridian gives back S^3 = Sigma(r, s, 1),
+        # on the link and on its mirror; the formula matches the hand-derived fibration
+        fillings = 0
+        for ext in valid_exteriors(d_max=4, rs_max=24):
+            sphere = brieskorn_invariants(ext.r, ext.s, 1)
+            assert sphere == normalize(SeifertInvariants(-1, base_fibers(ext.r, ext.s))), ext
+            meridians = [Slope(1, 0)] * ext.d
+            si = fill(ext, meridians)
+            assert si == sphere and h1_order(si).order == 1, ext
+            mirrored = fill(ext, meridians, mirror=True)
+            assert mirrored == normalize(reverse_orientation(sphere)), ext
+            assert h1_order(mirrored).order == 1, ext
+            fillings += 2
+        assert fillings == 2776
 
     def test_permutation_invariance(self):
         rng = random.Random(41)
@@ -107,8 +117,6 @@ class TestFill:
             assert fill(ext, slopes) == reference
 
     def test_mirror_is_reversed_negated(self):
-        from seifol.seifert import normalize, reverse_orientation
-
         ext = TorusLinkExterior(2, 2, 3)
         slopes = [Slope(5, 1), Slope(3, 1)]
         direct = fill(ext, [Slope(-5, 1), Slope(-3, 1)])
@@ -128,7 +136,7 @@ class TestFill:
             assume(am != 0)
             frac = Fraction(-c, am)
             fibers.append((frac.denominator, frac.numerator))
-        expected = normalize(SeifertInvariants(-1, base_fibers(ext) + tuple(fibers)))
+        expected = normalize(SeifertInvariants(-1, base_fibers(ext.r, ext.s) + tuple(fibers)))
         assert fill(ext, slopes) == expected
 
     def test_exterior_validation(self):

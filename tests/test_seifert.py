@@ -184,6 +184,27 @@ class TestNotation:
         with pytest.raises(NotationError):
             parse_seifert(bad)
 
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-6, 6).map(str),
+                st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_refusals_are_notation_errors(self, tokens):
+        # the reader refuses every form the constructor would, so no bare
+        # ValueError escapes: zero, negative and non-reduced tokens included
+        text = "M(" + ", ".join(tokens) + ")"
+        try:
+            si = parse_seifert(text)
+        except NotationError:
+            return
+        assert isinstance(si, SeifertInvariants)
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             SeifertInvariants(0, ((4, 2),))

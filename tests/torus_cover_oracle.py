@@ -14,8 +14,10 @@ replaced with Milnor's inequality 1/n + 1/p + 1/q > 1.
 from math import gcd
 from typing import NamedTuple
 
-from seifol.seifert import SeifertInvariants, normalize, torus_fiber_betas
+from seifol.seifert import SeifertInvariants, normalize
 from seifol.torus_covers import TorusCoverQuery
+
+from helpers import torus_fiber_betas
 
 ROUTE_COPRIME = "coprime"
 ROUTE_DIVISOR = "divisor"
